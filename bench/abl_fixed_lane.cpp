@@ -1,25 +1,24 @@
-// Ablation A10 — the constant-time fixed-size fast lane for the hot small
-// classes, 8..64 B (docs/INTERNALS.md §4d, EXPERIMENTS.md A10; after
-// Blelloch & Wei, arXiv:2008.04296).
+// Ablation A10 — the fixed lane, the constant-time parked-block cache in
+// front of every UAlloc class (docs/INTERNALS.md §4d, EXPERIMENTS.md A10;
+// after Blelloch & Wei, arXiv:2008.04296).
 //
 // Workload: small-block churn through the full GpuAllocator facade. Every
 // thread keeps a ring of live blocks and repeatedly frees the oldest slot
 // and allocates a replacement of the same size — the malloc-follows-free
 // pattern where the lane turns both operations into one O(1) lane-stack
-// push/pop. With the lane ON a miss buys a whole slab in one bulk-
-// semaphore transaction; OFF routes every operation through the magazine/
-// semaphore path (the pre-lane front-end).
+// push/pop. With the lane ON a slab-refilled class (8..64 B) buys a whole
+// slab per miss in one bulk-semaphore transaction; OFF routes every
+// operation through the bulk-semaphore/RCU bin path (the paper's exact
+// front-end).
 //
 // Protocol: sizes x thread counts, lane on vs off on the same device and
 // pool geometry; report churn ops/s (one op = a free or a malloc), the
-// on/off speedup, and the lane hit rate. 128 B rides along as a control —
-// it is above kFixedLaneMaxSize, so its speedup must be ~1.0x (the lane
-// may not tax what it does not serve). Acceptance: the lane must engage
-// (hit% > 50) and never lose to the magazine front-end it replaces
-// (speedup >= 1.0x within noise) — on free-then-alloc churn the magazines
-// are already near-optimal, so the measured win here is a modest
-// 1.0-1.3x; the lane's headline effect is fig7's cold exhaustion sweep
-// (no frees to recycle, where refill batching is the whole story).
+// on/off speedup, and the lane hit rate. 128 B rides along as the
+// free-stocked policy (stocked by frees only, no slab refill).
+// Acceptance: the lane must engage (hit% > 50) and never lose to the
+// paper's path (speedup >= 1.0x within noise); the lane's headline
+// effect at 8..64 B is fig7's cold exhaustion sweep (no frees to
+// recycle, where refill batching is the whole story).
 #include <atomic>
 #include <cinttypes>
 #include <memory>
@@ -91,7 +90,7 @@ int main_impl(int argc, char** argv) {
   util::Table table("Ablation A10: fixed-size fast lane on/off (churn)");
   table.set_header({"size", "threads", "on (ops/s)", "off (ops/s)", "speedup",
                     "on hit%"});
-  // 128 B is the out-of-lane control: both runs take the magazine path.
+  // 128 B exercises the free-stocked policy: no refill, frees stock it.
   for (std::size_t size : {8, 16, 32, 64, 128}) {
     for (std::uint64_t threads : thread_counts) {
       const Out on = run(dev, opt, size, threads, true);

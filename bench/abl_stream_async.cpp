@@ -4,13 +4,13 @@
 // Part 1, batching: small-block churn (16..512 B) where every thread
 // keeps a ring of live blocks and replaces the oldest each round. The
 // sync arm frees through pool.free (the paper's path, possibly fronted
-// by the magazines); the async arm parks frees with free_async on a
+// by the fixed lane); the async arm parks frees with free_async on a
 // per-SM stream and lets malloc_async reuse them in stream order, with
 // the residue draining in one batch at the final stream sync — the
 // drain clusters the RCU conditional barriers of bin unlink/retire so
 // delegation collapses them into ~one grace period per batch (visible
 // in the pool.stream.drain_batch histogram with --metrics). Run with
-// the magazine/quicklist fast paths both ON (production default: the
+// the lane/quicklist fast paths both ON (production default: the
 // async arm must still win or tie) and OFF (the paper-faithful
 // configuration, where every deferred free would otherwise pay the bin
 // machinery — the batching headroom shows undiluted).
@@ -47,11 +47,11 @@ alloc::HeapConfig churn_cfg(bool fastpaths) {
   alloc::HeapConfig cfg;
   cfg.pool_bytes = 64u << 20;
   cfg.num_arenas = 8;
-  cfg.magazines = fastpaths;
   cfg.quicklist = fastpaths;
-  // The fixed lane is a fast path too (it re-routes sub-64 B async frees
-  // around the pending list entirely); the OFF arm must be the paper's
-  // exact front-end or the 16 B leg measures the lane, not the batching.
+  // The fixed lane caches every UAlloc class (and re-routes 8..64 B async
+  // frees around the pending list entirely); the OFF arm must be the
+  // paper's exact front-end or the churn measures the lane, not the
+  // batching.
   cfg.fixed_lane = fastpaths;
   return cfg;
 }

@@ -65,7 +65,6 @@ GpuAllocator::GpuAllocator(const HeapConfig& cfg)
     vmm_on_.store(true, std::memory_order_relaxed);
   }
   ualloc_ = std::make_unique<UAlloc>(*buddy_, cfg.num_arenas);
-  ualloc_->set_magazines(cfg.magazines);
   lane_ = std::make_unique<FixedLane>(*ualloc_, cfg.fixed_lane,
                                       cfg.fixed_lane_refill_depth);
   san_ = std::make_unique<san::HeapSan>(
@@ -109,23 +108,23 @@ void* GpuAllocator::route_alloc(std::size_t rounded) {
   // and the request is served from elsewhere. Bounded — each park
   // consumes victim space the allocator can never hand out again.
   for (;;) {
-    void* p;
-    if (rounded <= kMaxUAllocSize) {
-      // Fixed-lane first hop: a hot small class is served by a
-      // constant-time lane pop (or a slab-grained refill). A lane miss
-      // whose refill found no memory still falls through — a single
-      // block can succeed where a slab could not, so the failure rate
-      // stays truthful.
-      p = nullptr;
-      if (FixedLane::eligible_size(rounded) && lane_->enabled()) {
-        p = lane_->allocate(rounded);
-      }
-      if (p == nullptr) p = ualloc_->allocate(rounded);
-    } else {
-      p = buddy_->allocate_bytes(rounded);
-    }
+    void* p = rounded <= kMaxUAllocSize ? ualloc_alloc(rounded)
+                                        : buddy_->allocate_bytes(rounded);
     if (p == nullptr || !evac_park(p)) return p;
   }
+}
+
+void* GpuAllocator::ualloc_alloc(std::size_t rounded) {
+  // Fixed-lane first hop: a constant-time lane pop (or, for a
+  // slab-refilled class, a slab-grained refill). A miss — or a refill
+  // that found no memory — falls through: a single block can succeed
+  // where a slab could not, so the failure rate stays truthful.
+  void* p = lane_->enabled() ? lane_->allocate(rounded) : nullptr;
+  return p != nullptr ? p : ualloc_->allocate(rounded);
+}
+
+void GpuAllocator::ualloc_free(void* p, BinHeader* bin, std::uint32_t idx) {
+  if (!lane_->try_free_decoded(p, bin, idx)) ualloc_->free_decoded(bin, idx);
 }
 
 bool GpuAllocator::evac_park(void* p) {
@@ -179,16 +178,13 @@ void GpuAllocator::free_base(void* base) {
     charged = buddy_->allocation_size(base);
     buddy_->free(base);
   } else {
-    // Decode once, then route: lane-served classes are cached on the
-    // freeing SM's lane (bitmap bit stays claimed — the block is a
-    // pool-level cache, so the quota charge is still released);
-    // everything else takes the ordinary UAlloc free.
+    // Decode once, then route: the block is cached on the freeing SM's
+    // lane (bitmap bit stays claimed — the block is a pool-level cache,
+    // so the quota charge is still released).
     std::uint32_t idx;
     BinHeader* bin = ualloc_->decode_block(base, &idx);
     charged = size_of_class(bin->size_class);
-    if (!lane_->try_free_decoded(base, bin)) {
-      ualloc_->free_decoded(bin, idx, base);
-    }
+    ualloc_free(base, bin, idx);
   }
   in_use_.fetch_sub(charged, std::memory_order_relaxed);
   if (vmm_ != nullptr) TOMA_CTR_ADD("vmm.live_bytes.freed", charged);
@@ -285,8 +281,8 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status) {
   }
   if (p == nullptr && san_->engaged() && san_->flush_quarantine() > 0) {
     // Quarantined blocks pin real memory; under pool pressure they are
-    // reclaimed before OOM is declared (same contract as the magazine
-    // and quicklist flushes inside the allocators).
+    // reclaimed before OOM is declared (same contract as the lane flush
+    // above and the quicklist flush inside TBuddy).
     p = route_alloc(rounded);
   }
   bool grow_quota_denied = false;
@@ -526,11 +522,9 @@ std::size_t GpuAllocator::defrag(std::size_t max_moves) {
   st_defrag_passes_.fetch_add(1, std::memory_order_relaxed);
   TOMA_CTR_INC("vmm.defrag_passes");
   // Quiescent-point preamble: every cached block must re-enter the bin
-  // accounting or the occupancy census undercounts (a lane/magazine/
-  // quarantine resident keeps its bitmap bit claimed but is dead weight).
-  if (san_->engaged()) san_->flush_quarantine();
-  lane_->flush();
-  ualloc_->release_cached();
+  // accounting or the occupancy census undercounts (a lane or quarantine
+  // resident keeps its bitmap bit claimed but is dead weight).
+  release_cached();
   // Unmapping happens at backing-chunk granularity, so bin-level
   // compaction only pays off when whole chunks empty. Group the census by
   // owning chunk and evacuate chunks in ascending live-byte order,
@@ -595,11 +589,12 @@ std::size_t GpuAllocator::defrag(std::size_t max_moves) {
   }
   // Release the parked destination blocks: the evacuated chunks they kept
   // alive empty out and retire in the trim below.
-  for (const auto& [bin, idx] : pinned) ualloc_->free_for_defrag(bin, idx);
-  // Epilogue: emptied bins and chunks retire to the buddy, coalesce, and
-  // the freed chunks unmap back to the OS.
-  ualloc_->trim();
-  buddy_->trim();
+  for (const auto& [bin, idx] : pinned) ualloc_->free_decoded(bin, idx);
+  // Epilogue: the lanes give back the blocks migration parked there
+  // (vetoed destinations, refill surplus), emptied bins and chunks
+  // retire to the buddy and coalesce, and the freed chunks unmap back to
+  // the OS.
+  trim();
   shrink_backing();
   if (moved != 0) {
     st_defrag_moves_.fetch_add(moved, std::memory_order_relaxed);
@@ -670,7 +665,7 @@ GpuAllocator::MoveResult GpuAllocator::move_block(
   // chunk, so the allocator strictly runs down their free space and
   // eventually hands out a block outside `evac` (or nullptr).
   for (;;) {
-    dest = ualloc_->allocate(cls_bytes);
+    dest = ualloc_alloc(cls_bytes);
     if (dest == nullptr) break;
     const std::uintptr_t dbase = static_cast<std::uintptr_t>(
         util::align_down(reinterpret_cast<std::uintptr_t>(dest),
@@ -701,10 +696,10 @@ GpuAllocator::MoveResult GpuAllocator::move_block(
   if (hooks_.prepare && !hooks_.prepare(old_user, new_user, user_bytes)) {
     // Vetoed: the host does not own this pointer live (a cache-parked
     // block, or one mid-operation). It stays put; the destination slot
-    // goes back.
+    // goes back to the lane it most likely came from.
     std::uint32_t didx;
     BinHeader* dbin = ualloc_->decode_block(dest, &didx);
-    ualloc_->free_decoded(dbin, didx, dest);
+    ualloc_free(dest, dbin, didx);
     TOMA_CTR_INC("vmm.defrag.vetoed");
     return MoveResult::kVetoed;
   }
@@ -730,7 +725,7 @@ GpuAllocator::MoveResult GpuAllocator::move_block(
   if (hold_source) {
     park(bin, idx, old_block);
   } else {
-    ualloc_->free_for_defrag(bin, idx);
+    ualloc_->free_decoded(bin, idx);
   }
   return MoveResult::kMoved;
 }
@@ -896,12 +891,10 @@ std::size_t GpuAllocator::step_evacuate(std::size_t budget_bytes) {
   if (moved_bytes == 0) {
     ++ev.stall_sweeps;
     if (ev.stall_sweeps % 4 == 3) {
-      // Vetoes usually mean cache-parked blocks (lane, magazines,
-      // quarantine): flush them back into the bin accounting so the
-      // next sweep sees them freed.
-      if (san_->engaged()) san_->flush_quarantine();
-      lane_->flush();
-      ualloc_->release_cached();
+      // Vetoes usually mean cache-parked blocks (lane, quarantine): flush
+      // them back into the bin accounting so the next sweep sees them
+      // freed.
+      release_cached();
     }
     if (ev.stall_sweeps > kVmmDefragStallLimit) {
       // Not converging (a host that keeps vetoing, or tenants churning
@@ -956,7 +949,7 @@ void GpuAllocator::step_retire() {
     // alias its stale entry.
     vmm_->forward().purge_range(chunk_base, chunk_bytes);
     for (const auto& [bin, idx] : head.held) {
-      ualloc_->free_for_defrag(bin, idx);
+      ualloc_->free_decoded(bin, idx);
     }
     for (void* p : head.held_buddy) buddy_->free(p);
     head.held.clear();
@@ -1011,9 +1004,7 @@ void GpuAllocator::step_retire() {
   if (!done) {
     // A failed claim is often a pool cache pinning one of the chunk's
     // bins; flush them so the next attempt can retire those bins.
-    if (san_->engaged()) san_->flush_quarantine();
-    lane_->flush();
-    ualloc_->release_cached();
+    release_cached();
   }
   if (done) forwarding_.erase(forwarding_.begin());
 }

@@ -59,8 +59,8 @@ enum class DefragMode : std::uint8_t { kOff = 0, kSync = 1, kIncremental = 2 };
 ///       move, or false to veto it (unknown pointer, block mid-use, ...).
 ///       A vetoed block stays at `old` untouched. Incremental compaction
 ///       REQUIRES a prepare hook that returns false for pointers the host
-///       does not own live: blocks parked in pool-level caches
-///       (magazines, lanes, HeapSan quarantine) census as live but must
+///       does not own live: blocks parked in pool-level caches (the
+///       fixed lanes, the HeapSan quarantine) census as live but must
 ///       not be moved-and-committed blindly.
 ///   commit(old, new, size)            the payload now lives at `new`;
 ///       the host rewrites its references and unlocks. From the moment
@@ -111,7 +111,8 @@ struct HeapConfig {
   /// builds never observe violations (the clock is compiled out).
   std::uint64_t slo_latency_ns = 0;
   /// Fixed-lane refill slab depth: blocks fetched from UAlloc per bulk
-  /// transaction on a lane miss/top-up. 0 = the per-class default
+  /// transaction on a slab-refilled lane's miss/top-up (8..64 B; the
+  /// free-stocked classes never refill). 0 = the per-class default
   /// (fixed_lane_refill(cls), one bin's worth capped at
   /// kFixedLaneMaxRefill). A nonzero depth decouples the slab size from
   /// the bin capacity — the abl_fixed_lane ablation sweeps this to find
@@ -119,7 +120,6 @@ struct HeapConfig {
   /// are clamped to it; the transfer array bounds a single transaction).
   std::uint32_t fixed_lane_refill_depth = 0;
   bool heapsan = TOMA_HEAPSAN != 0;
-  bool magazines = TOMA_UALLOC_MAGAZINES != 0;
   bool quicklist = TOMA_TBUDDY_QUICKLIST != 0;
   bool cas_claim = TOMA_TBUDDY_CAS_CLAIM != 0;
   bool fixed_lane = TOMA_FIXED_LANE != 0;
@@ -249,7 +249,7 @@ class GpuAllocator {
   // Live bytes are charged at block granularity (the rounded class/order
   // size — what the request actually occupies) when a block leaves the
   // underlying allocators and uncharged when it returns. Blocks parked in
-  // the magazines/quicklists are pool-level caches, not tenant usage, so
+  // the fixed lanes/quicklists are pool-level caches, not tenant usage, so
   // they are not charged; HeapSan-quarantined blocks *are* still charged
   // (they pin real memory until evicted — a quota-hit pool under HeapSan
   // flushes its quarantine and retries before rejecting).
@@ -273,19 +273,21 @@ class GpuAllocator {
   FixedLane& fixed_lane() { return *lane_; }
   san::HeapSan& heapsan() { return *san_; }
 
-  /// Runtime switch for the fixed-size fast lane (default: the
-  /// compile-time TOMA_FIXED_LANE option). Disabling flushes every
-  /// lane-resident block back into the bin accounting.
+  /// Runtime switch for the fixed lane, the cache in front of every
+  /// UAlloc class (default: the compile-time TOMA_FIXED_LANE option).
+  /// Disabling flushes every lane-resident block back into the bin
+  /// accounting: the paper's exact front end.
   void set_fixed_lane(bool on) { lane_->set_enabled(on); }
   bool fixed_lane_enabled() const { return lane_->enabled(); }
 
-  /// Would free(p) route through the fixed lane? True for lane-served
-  /// UAlloc blocks while the lane is on — Pool::free_async uses this to
-  /// skip the per-(pool, stream) pending-block machinery for blocks the
-  /// lane recycles in O(1) anyway.
+  /// Should Pool::free_async free `p` now instead of parking it on its
+  /// stream? True for slab-refilled UAlloc blocks (8..64 B) while the
+  /// lane is on: the lane recycles them in O(1) anyway, and skipping the
+  /// per-(pool, stream) pending-block machinery is cheaper. Larger
+  /// classes keep the stream's reuse path.
   bool lane_routable(void* p) const {
     return lane_->enabled() && !util::is_aligned(p, kPageSize) &&
-           ualloc_->usable_size(p) <= kFixedLaneMaxSize;
+           ualloc_->usable_size(p) <= kFixedLaneSlabMaxSize;
   }
 
   /// Runtime switch for the HeapSan layer (default: the compile-time
@@ -360,24 +362,28 @@ class GpuAllocator {
   void set_incremental_defrag(bool on);
 
   /// Scavenge cached-but-empty UAlloc bins/chunks back into the buddy
-  /// pool (malloc_trim analogue); drains the HeapSan quarantine first
-  /// (quarantined blocks pin bins and pages), flushes the magazines, then
-  /// the TBuddy quicklists — UAlloc's retired chunks land in the order-6
-  /// quicklist, so the buddy flush must run second for those chunks to
-  /// coalesce back into maximal blocks. Returns chunks released.
+  /// pool (malloc_trim analogue): releases the parked blocks first (see
+  /// release_cached), then the TBuddy quicklists — UAlloc's retired
+  /// chunks land in the order-6 quicklist, so the buddy flush must run
+  /// second for those chunks to coalesce back into maximal blocks.
+  /// Returns chunks released.
   std::size_t trim() {
-    if (san_->engaged()) san_->flush_quarantine();
-    lane_->flush();  // lane-resident blocks pin bins exactly like magazines
+    release_cached();
     const std::size_t chunks = ualloc_->trim();
     buddy_->trim();
     return chunks;
   }
 
-  /// Flush the fixed lanes and UAlloc magazines only (cached blocks
-  /// re-enter the bin accounting; no chunk is returned to the buddy).
-  /// Returns blocks flushed.
+  /// Return every block parked above the UAlloc bins to the bin
+  /// accounting: the HeapSan quarantine (quarantined blocks pin bins and
+  /// pages), then the fixed lanes. Parked blocks keep their bitmap bits
+  /// claimed, so trim, defrag's census and chunk retirement all flush
+  /// through here first. No chunk is returned to the buddy. Returns
+  /// blocks flushed.
   std::size_t release_cached() {
-    return lane_->flush() + ualloc_->release_cached();
+    const std::size_t quarantined =
+        san_->engaged() ? san_->flush_quarantine() : 0;
+    return quarantined + lane_->flush();
   }
 
   GpuAllocatorStats stats() const;
@@ -391,6 +397,13 @@ class GpuAllocator {
  private:
   /// Route a rounded request to UAlloc or TBuddy (the paper's size split).
   void* route_alloc(std::size_t rounded);
+  /// The UAlloc route with the fixed lane in front: a lane pop (or slab
+  /// refill), then UAlloc itself. Tenant allocations and defrag's
+  /// destination blocks both come through here.
+  void* ualloc_alloc(std::size_t rounded);
+  /// Free a decoded UAlloc block through the lane (UAlloc directly when
+  /// the lane is off).
+  void ualloc_free(void* p, BinHeader* bin, std::uint32_t idx);
   /// Return an evicted HeapSan base pointer to its owner by alignment,
   /// without touching the user-facing malloc/free statistics.
   void free_base(void* base);

@@ -57,10 +57,14 @@ constexpr std::size_t size_of_class(std::uint32_t cls) {
 /// tail slot (<= 128 B) use the full logical 4 KB; larger classes only the
 /// 3968 B physical payload. (1 KB -> 3 blocks; the paper's moderate-failure
 /// sizes. 2 KB would be 1 block, which is why it rounds to 4 KB instead.)
+/// Block sizes are powers of two, so the division is a shift: the fixed
+/// lane evaluates this per push and pop, where a runtime 64-bit division
+/// would cost tens of cycles.
 constexpr std::uint32_t bin_capacity(std::uint32_t cls) {
-  const std::size_t s = size_of_class(cls);
-  return static_cast<std::uint32_t>(s <= kTailSize ? kBinLogicalSize / s
-                                                   : kBinDataSize / s);
+  const std::uint32_t shift = util::log2_floor(kMinAlloc) + cls;
+  return static_cast<std::uint32_t>(
+      (size_of_class(cls) <= kTailSize ? kBinLogicalSize : kBinDataSize) >>
+      shift);
 }
 
 /// TBuddy order for an allocation of `bytes` (bytes > kMaxUAllocSize*2
@@ -74,60 +78,51 @@ constexpr std::uint32_t order_for_bytes(std::size_t bytes) {
 /// TBuddy order of one UAlloc chunk (256 KB / 4 KB = 64 pages = order 6).
 inline constexpr std::uint32_t kChunkOrder = 6;
 
-// --- magazine front-end (not in the paper; see docs/INTERNALS.md §4b) ------
+// --- fixed-size lane: the parked-block cache (not in the paper; §4d) -------
 //
-// Each (arena, size class) keeps a bounded LIFO of recently freed blocks in
-// front of the bulk-semaphore/RCU bin machinery. A cached block's bitmap
-// bit stays *claimed*, so the invariant "semaphore value == claimable
-// blocks in listed bins" never sees cached blocks at all.
-
-/// Compile-time default for the magazine front-end (CMake option
-/// TOMA_UALLOC_MAGAZINES, default ON). UAlloc::set_magazines() toggles at
-/// runtime; this macro only selects the starting state, so a magazines-OFF
-/// build still compiles (and tests) the machinery.
-#ifndef TOMA_UALLOC_MAGAZINES
-#define TOMA_UALLOC_MAGAZINES 1
-#endif
-
-/// Magazine depth as a multiple of the class's bin capacity. Two bins'
-/// worth lets a class absorb a full bin of churn plus a warp-sized burst
-/// without touching the semaphore, while bounding how much memory a
-/// magazine can strand (overflow spills through the paper's free path).
-inline constexpr std::uint32_t kMagazineBinFactor = 2;
-
-/// Cached-block bound of one (arena, class) magazine.
-constexpr std::uint32_t magazine_capacity(std::uint32_t cls) {
-  return kMagazineBinFactor * bin_capacity(cls);
-}
-
-// --- fixed-size fast lane (not in the paper; docs/INTERNALS.md §4d) --------
+// A per-(SM, size-class) constant-time LIFO of blocks in front of the
+// bulk-semaphore/RCU bin machinery, for every UAlloc class (8 B..1 KiB),
+// after Blelloch & Wei, "Concurrent Fixed-Size Allocation and Free in
+// Constant Time" (arXiv:2008.04296). A lane-resident block keeps its
+// bitmap bit claimed and owns no semaphore unit — the same
+// claimed-while-cached invariant the quicklists and the HeapSan
+// quarantine rely on — so the lane commutes with every accounting
+// invariant below it.
 //
-// A per-(SM, size-class) constant-time allocation lane for the hottest
-// small classes (8..64 B), after Blelloch & Wei, "Concurrent Fixed-Size
-// Allocation and Free in Constant Time" (arXiv:2008.04296): each lane is a
-// LIFO block stack with O(1) push/pop, backed by bounded *slabs* carved
-// out of the UAlloc bins in one batched semaphore transaction. A
-// lane-resident block keeps its bitmap bit claimed and owns no semaphore
-// unit — the same claimed-while-cached invariant the magazines, the
-// quicklists, and the HeapSan quarantine rely on — so the lane commutes
-// with every accounting invariant below it.
+// One structure, two stocking policies, split by bin capacity:
+//   * slab-refilled classes (bins of >= 64 blocks: 8..64 B) are stocked
+//     ahead of demand — a miss fetches whole slabs in one bulk-semaphore
+//     transaction, low stock tops up, in-kernel misses coalesce per
+//     warp, and a push past the capacity spills to the low-water mark;
+//   * free-stocked classes (128 B..1 KiB) are stocked by frees only,
+//     capped at two bins' worth; a push onto a full lane frees that one
+//     block through the paper's free path.
+// A 1 KiB bin holds 3 blocks, too few to feed a 32-thread miss group
+// from one slab, and spilling to a low-water mark at those sizes
+// retires and rebuilds bins (docs/INTERNALS.md §4d has the numbers).
 
-/// Compile-time default for the fixed-size fast lane (CMake option
-/// TOMA_FIXED_LANE, default ON). GpuAllocator::set_fixed_lane() toggles at
-/// runtime; this macro only selects the starting state, so a lane-OFF
-/// build still compiles (and tests) the machinery.
+/// Compile-time default for the fixed lane (CMake option TOMA_FIXED_LANE,
+/// default ON). GpuAllocator::set_fixed_lane() toggles at runtime; this
+/// macro only selects the starting state, so a lane-OFF build still
+/// compiles (and tests) the machinery. OFF is the paper's exact front
+/// end: no cache in front of the bins for any class.
 #ifndef TOMA_FIXED_LANE
 #define TOMA_FIXED_LANE 1
 #endif
 
-/// Largest block size the lane serves. Classes 0..3 (8, 16, 32, 64 B) are
-/// the paper's hottest sizes (Figure 7) and the ones whose bins hold
-/// enough blocks for slab-grained refill to amortize well.
-inline constexpr std::size_t kFixedLaneMaxSize = 64;
+/// The policy split: a class whose bin holds at least this many blocks
+/// is slab-refilled; smaller bins are free-stocked.
+inline constexpr std::uint32_t kFixedLaneSlabMinBlocks = 64;
 
-/// Number of lane-served size classes (8, 16, 32, 64 B -> 4).
-inline constexpr std::uint32_t kFixedLaneClasses =
-    size_class_of(kFixedLaneMaxSize) + 1;
+/// Is class `cls` slab-refilled (true) or free-stocked (false)?
+constexpr bool fixed_lane_slab_refilled(std::uint32_t cls) {
+  return bin_capacity(cls) >= kFixedLaneSlabMinBlocks;
+}
+
+/// Largest slab-refilled block size. The stream shortcut
+/// (GpuAllocator::lane_routable, Pool::malloc_async's reuse skip) is
+/// keyed on the slab-refilled classes only.
+inline constexpr std::size_t kFixedLaneSlabMaxSize = 64;
 
 /// Largest refill slab: bound on blocks fetched per bulk-semaphore
 /// transaction, sizing the stack-local transfer array in the refill path
@@ -149,34 +144,42 @@ constexpr std::uint32_t fixed_lane_refill(std::uint32_t cls) {
 /// is a ceiling, not a quota.
 inline constexpr std::uint32_t kFixedLaneRefillBatches = 4;
 
-/// Cached-block bound of one (SM, class) lane. Two bins' worth, but
-/// never less than 256 blocks: the larger lane classes have small bins
-/// (64 x 64 B), and a lane that can buffer only a couple of warps' worth
-/// of stock drains to empty between refills — the stock-ahead that makes
-/// pops sync-free needs headroom in blocks, not bins. 256 blocks of the
-/// largest lane class is 16 KB per (SM, class): still magazine-scale.
+/// Cached-block bound of one (SM, class) lane: two bins' worth. A
+/// slab-refilled lane never holds less than 256 blocks — the larger of
+/// those classes have small bins (64 x 64 B), and a lane that can buffer
+/// only a couple of warps' worth of stock drains to empty between
+/// refills; the stock-ahead that makes pops sync-free needs headroom in
+/// blocks, not bins. 256 blocks of 64 B is 16 KB per (SM, class).
 constexpr std::uint32_t fixed_lane_capacity(std::uint32_t cls) {
   const std::uint32_t two_bins = 2 * bin_capacity(cls);
+  if (!fixed_lane_slab_refilled(cls)) return two_bins;
   return two_bins < 256 ? 256 : two_bins;
 }
 
-/// Hysteresis: a push that crosses the capacity spills the lane down to
-/// the low-water mark through the real free path, so one crossing buys
-/// cap/2 further O(1) frees before the next spill. The low-water mark is
-/// also the refill target: a refill stocks to here, no further.
+/// Hysteresis (slab-refilled classes): a push that crosses the capacity
+/// spills the lane down to the low-water mark through the real free
+/// path, so one crossing buys cap/2 further O(1) frees before the next
+/// spill. The low-water mark is also the refill target: a refill stocks
+/// to here, no further.
 constexpr std::uint32_t fixed_lane_low_water(std::uint32_t cls) {
   return fixed_lane_capacity(cls) / 2;
 }
 
-/// Proactive top-up trigger: a *successful* pop that leaves the stock
-/// below this mark refills the lane in the background of its own hit —
-/// the popper already holds its block, so the batch transaction adds
-/// latency to one hit in ~low_water rather than a rendezvous for a whole
-/// stalled warp. This is what keeps the lane from oscillating between
-/// full and empty under allocation-only bursts.
+/// Proactive top-up trigger (slab-refilled classes): a *successful* pop
+/// that leaves the stock below this mark refills the lane in the
+/// background of its own hit — the popper already holds its block, so
+/// the batch transaction adds latency to one hit in ~low_water rather
+/// than a rendezvous for a whole stalled warp. This is what keeps the
+/// lane from oscillating between full and empty under allocation-only
+/// bursts.
 constexpr std::uint32_t fixed_lane_top_trigger(std::uint32_t cls) {
   return fixed_lane_capacity(cls) / 4;
 }
+
+static_assert(fixed_lane_slab_refilled(size_class_of(kFixedLaneSlabMaxSize)) &&
+                  !fixed_lane_slab_refilled(
+                      size_class_of(kFixedLaneSlabMaxSize) + 1),
+              "kFixedLaneSlabMaxSize is the largest slab-refilled class");
 
 // --- TBuddy quicklist front-end (not in the paper; docs/INTERNALS.md §4c) --
 //
@@ -228,7 +231,7 @@ constexpr std::uint32_t quicklist_low_water(std::uint32_t cap) {
 //
 // Per-(pool, stream) deferred free lists in front of the whole allocator:
 // free_async parks the block on its stream (bitmap bit / tree node / quota
-// charge stay claimed — the magazines' invariant trick one layer up), and
+// charge stay claimed — the fixed lane's invariant trick one layer up), and
 // the batch drains through the normal free path at the stream's next sync
 // point. malloc_async may reuse a same-stream pending block directly:
 // stream order guarantees the old use finished before the new one starts,
@@ -322,7 +325,7 @@ inline constexpr std::uint32_t kVmmDefragExtractRetries = 8;
 // Redzones + poison + quarantine + shadow table under GpuAllocator. Freed
 // blocks sit in a bounded quarantine whose bitmap bits / tree nodes /
 // semaphore units stay consumed — the same "cached blocks are still
-// allocated to the accounting" trick the magazines and quicklists use.
+// allocated to the accounting" trick the fixed lane and quicklists use.
 
 /// Compile-time default for the HeapSan layer (CMake option TOMA_HEAPSAN,
 /// default OFF). GpuAllocator::set_heapsan() toggles at runtime; this

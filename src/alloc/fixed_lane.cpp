@@ -16,8 +16,7 @@ namespace toma::alloc {
 // ---------------------------------------------------------------------------
 
 void* FixedLane::Lane::pop() {
-  // Single relaxed load so a cold lane costs one cache probe (the same
-  // empty-check discipline as Magazine::pop).
+  // Single relaxed load so a cold lane costs one cache probe.
   if (count.load(std::memory_order_relaxed) == 0) return nullptr;
   sync::LockGuard<sync::SpinMutex> g(mu);
   void* p = head;
@@ -32,6 +31,15 @@ std::uint32_t FixedLane::Lane::push(void* p) {
   *static_cast<void**>(p) = head;
   head = p;
   return count.fetch_add(1, std::memory_order_relaxed) + 1;
+}
+
+bool FixedLane::Lane::push_below(void* p, std::uint32_t cap) {
+  sync::LockGuard<sync::SpinMutex> g(mu);
+  if (count.load(std::memory_order_relaxed) >= cap) return false;
+  *static_cast<void**>(p) = head;
+  head = p;
+  count.fetch_add(1, std::memory_order_relaxed);
+  return true;
 }
 
 std::uint32_t FixedLane::Lane::push_chain(void* chain_head, void* chain_tail,
@@ -60,13 +68,14 @@ FixedLane::FixedLane(UAlloc& ua, bool enabled, std::uint32_t refill_depth)
       refill_depth_(refill_depth < kFixedLaneMaxRefill ? refill_depth
                                                        : kFixedLaneMaxRefill),
       on_(enabled),
-      lanes_(static_cast<std::size_t>(num_arenas_) * kFixedLaneClasses) {}
+      lanes_(static_cast<std::size_t>(num_arenas_) * kNumSizeClasses) {}
 
 FixedLane::~FixedLane() = default;
 
 void* FixedLane::allocate(std::size_t size) {
-  TOMA_DASSERT(eligible_size(size) && size >= kMinAlloc);
+  TOMA_DASSERT(size >= kMinAlloc && size <= kMaxUAllocSize);
   const std::uint32_t cls = size_class_of(size);
+  const bool slab = fixed_lane_slab_refilled(cls);
   const std::uint32_t a = gpu::this_thread::sm_id_or_hash(num_arenas_);
   Lane& ln = lane(a, cls);
   if (void* p = ln.pop()) {
@@ -77,7 +86,8 @@ void* FixedLane::allocate(std::size_t size) {
     // block — no caller is stalled on this batch — and a lane that never
     // empties serves every other thread with a sync-free pop instead of
     // a warp rendezvous.
-    if (ln.count.load(std::memory_order_relaxed) <
+    if (slab &&
+        ln.count.load(std::memory_order_relaxed) <
             fixed_lane_top_trigger(cls) &&
         !ln.refilling.exchange(true, std::memory_order_acquire)) {
       TOMA_CTR_INC("ualloc.lane.topup");
@@ -87,6 +97,13 @@ void* FixedLane::allocate(std::size_t size) {
       ln.refilling.store(false, std::memory_order_release);
     }
     return p;
+  }
+  if (!slab) {
+    // Free-stocked miss: UAlloc serves it, coalescing the warp's misses
+    // into one semaphore transaction itself.
+    TOMA_CTR_INC("ualloc.lane.miss");
+    st_misses_.fetch_add(1, std::memory_order_relaxed);
+    return nullptr;
   }
   // Miss. In-kernel, resolve it warp-cooperatively: the lanes of this
   // warp that missed the same empty lane share one slab transaction and
@@ -208,18 +225,27 @@ void* FixedLane::refill(Lane& ln, std::uint32_t home_arena, std::uint32_t cls,
   return first;
 }
 
-bool FixedLane::try_free_decoded(void* p, const BinHeader* bin) {
+bool FixedLane::try_free_decoded(void* p, BinHeader* bin,
+                                 std::uint32_t idx) {
   if (!enabled()) return false;
   const std::uint32_t cls = bin->size_class;
-  if (cls >= kFixedLaneClasses) return false;
   // Cache on the *freeing* SM's lane (cheapest locality for the next
   // malloc here), whatever arena owns the bin. The bitmap bit stays
   // claimed while cached: to the accounting, the block is still
   // allocated.
   const std::uint32_t a = gpu::this_thread::sm_id_or_hash(num_arenas_);
   Lane& ln = lane(a, cls);
-  const std::uint32_t cnt = ln.push(p);
-  if (cnt > fixed_lane_capacity(cls)) spill(ln, cls);
+  if (fixed_lane_slab_refilled(cls)) {
+    if (ln.push(p) > fixed_lane_capacity(cls)) spill(ln, cls);
+    return true;
+  }
+  // Free-stocked: no hysteresis. A full lane publishes just this block —
+  // draining to a low-water mark at these bin sizes retires bins the
+  // next frees would have to rebuild.
+  if (!ln.push_below(p, fixed_lane_capacity(cls))) {
+    ua_->free_decoded(bin, idx);
+    count_spill(1);
+  }
   return true;
 }
 
@@ -229,23 +255,17 @@ void FixedLane::spill(Lane& ln, std::uint32_t cls) {
   while (ln.count.load(std::memory_order_relaxed) > low) {
     void* p = ln.pop();
     if (p == nullptr) break;
-    publish(p);
+    ua_->free(p);
     ++n;
   }
-  TOMA_CTR_INC("ualloc.lane.spill");
-  TOMA_CTR_ADD("ualloc.lane.spill_blocks", n);
-  st_spills_.fetch_add(1, std::memory_order_relaxed);
-  st_spill_blocks_.fetch_add(n, std::memory_order_relaxed);
+  count_spill(n);
 }
 
-void FixedLane::publish(void* p) {
-  std::uint32_t idx;
-  BinHeader* bin = ua_->decode(p, &idx);
-  ua_->free_slow(bin, idx);
-  // The block re-enters UAlloc here, symmetric with allocate_batch's
-  // st_allocs_ bump when it left: allocs - frees stays "blocks currently
-  // outside the bin accounting" across the lane.
-  ua_->st_frees_.fetch_add(1, std::memory_order_relaxed);
+void FixedLane::count_spill(std::uint64_t blocks) {
+  TOMA_CTR_INC("ualloc.lane.spill");
+  TOMA_CTR_ADD("ualloc.lane.spill_blocks", blocks);
+  st_spills_.fetch_add(1, std::memory_order_relaxed);
+  st_spill_blocks_.fetch_add(blocks, std::memory_order_relaxed);
 }
 
 std::size_t FixedLane::flush() {
@@ -254,7 +274,7 @@ std::size_t FixedLane::flush() {
     void* p = ln.pop_all();
     while (p != nullptr) {
       void* next = *static_cast<void**>(p);
-      publish(p);
+      ua_->free(p);
       p = next;
       ++flushed;
     }
@@ -296,14 +316,14 @@ FixedLaneStats FixedLane::stats() const {
 bool FixedLane::check_consistency() const {
   bool ok = true;
   for (std::uint32_t a = 0; a < num_arenas_; ++a) {
-    for (std::uint32_t c = 0; c < kFixedLaneClasses; ++c) {
+    for (std::uint32_t c = 0; c < kNumSizeClasses; ++c) {
       const Lane& ln = lane(a, c);
       sync::LockGuard<sync::SpinMutex> g(ln.mu);
       std::uint32_t walked = 0;
       for (void* p = ln.head; p != nullptr; p = *static_cast<void**>(p)) {
         ++walked;
         std::uint32_t idx;
-        BinHeader* bin = ua_->decode(p, &idx);
+        BinHeader* bin = ua_->decode_block(p, &idx);
         if (bin->size_class != c) {
           std::fprintf(stderr,
                        "FixedLane: lane %u/%u caches block of class %u\n", a,

@@ -1,44 +1,48 @@
-// FixedLane: a constant-time fixed-size allocation fast lane for the hot
-// small size classes (8..64 B), after Blelloch & Wei, "Concurrent
-// Fixed-Size Allocation and Free in Constant Time" (arXiv:2008.04296).
+// FixedLane: the constant-time parked-block cache in front of every UAlloc
+// size class (8 B..1 KiB), after Blelloch & Wei, "Concurrent Fixed-Size
+// Allocation and Free in Constant Time" (arXiv:2008.04296). The paper's
+// UAlloc has no front-end cache; this is the only one.
 //
 // Structure (docs/INTERNALS.md §4d):
 //
-//   * One lane per (SM, lane class): a LIFO stack of free blocks linked
+//   * One lane per (SM, size class): a LIFO stack of free blocks linked
 //     through their own dead payload, push/pop O(1) under a lane-private
-//     spin lock (uncontended in the steady state — exactly the Magazine
-//     discipline one layer up).
-//   * Refill is *slab-grained*: a refill fetches fixed_lane_refill(cls)
-//     blocks per bulk-semaphore transaction (UAlloc::allocate_batch) —
-//     either a batched claim over the listed bins or one freshly grown
-//     bin whose first half is the slab — looping until the lane reaches
-//     its low-water mark. This is what closes the fig7 gap: the
-//     workload's per-thread single malloc costs 1/refill-th of a
-//     semaphore round trip instead of a whole one.
-//   * The lane *stays* stocked two ways. A pop that drains the stock
-//     below fixed_lane_top_trigger(cls) restocks proactively (top-up),
-//     so steady-state traffic rides first-try pops instead of
-//     oscillating between full and empty. An in-kernel miss coalesces
-//     the warp: mates that missed the same empty lane rendezvous, the
-//     leader fetches one slab ungated (a stampede of leaders briefly
-//     over-stocks and the spill hysteresis reclaims the excess — gating
-//     the leader would strand its whole warp, measurably worse), and
-//     the members pop the freshly stocked lane after one broadcast.
-//   * Spill has hysteresis: a push that crosses fixed_lane_capacity(cls)
-//     drains the lane down to the low-water mark through the paper's
-//     free-publication path, so one crossing buys cap/2 further O(1)
-//     frees.
+//     spin lock (uncontended in the steady state).
+//   * Two stocking policies, split by bin capacity at compile time
+//     (fixed_lane_slab_refilled in alloc/config.hpp):
+//       - slab-refilled classes (8..64 B) are stocked ahead of demand.
+//         A refill fetches fixed_lane_refill(cls) blocks per
+//         bulk-semaphore transaction (UAlloc::allocate_batch) — either a
+//         batched claim over the listed bins or one freshly grown bin
+//         whose first half is the slab — looping until the lane reaches
+//         its low-water mark, so a per-thread single malloc costs
+//         1/refill-th of a semaphore round trip. A pop that drains the
+//         stock below fixed_lane_top_trigger(cls) restocks proactively
+//         (top-up); an in-kernel miss coalesces the warp — mates that
+//         missed the same empty lane rendezvous, the leader fetches one
+//         slab ungated (a stampede of leaders briefly over-stocks and the
+//         spill hysteresis reclaims the excess — gating the leader would
+//         strand its whole warp, measurably worse), and the members pop
+//         the freshly stocked lane after one broadcast. A push that
+//         crosses fixed_lane_capacity(cls) drains the lane down to the
+//         low-water mark through the paper's free-publication path, so
+//         one crossing buys cap/2 further O(1) frees.
+//       - free-stocked classes (128 B..1 KiB) are stocked by frees only.
+//         A miss falls through to UAlloc (whose warp-coalesced path
+//         serves the group), and a push onto a full lane (two bins'
+//         worth) publishes that one block through the free path.
 //
 // Invariant: a lane-resident block is, to the bin machinery, still
 // *allocated* — its bitmap bit stays claimed, its bin's free_count
-// excludes it, and no semaphore unit exists for it (the magazines'
-// claimed-while-cached invariant). flush() re-publishes every cached
-// block, so trim(), pool-pressure OOM retries, and runtime disable all
-// see exact accounting.
+// excludes it, and no semaphore unit exists for it. flush() re-publishes
+// every cached block, so trim(), pool-pressure OOM retries, defrag and
+// runtime disable all see exact accounting. Blocks leave through
+// UAlloc's allocation paths and return through UAlloc::free, so UAlloc's
+// allocs - frees counts exactly the blocks outside the bin accounting:
+// live or lane-resident.
 //
-// The lane sits in GpuAllocator::route_alloc / free_base, *ahead of* the
-// magazine probe inside UAlloc: lane-served classes reach the magazines
-// only via spill/flush, larger classes never see the lane.
+// The lane sits in GpuAllocator's UAlloc route (allocation, free, and
+// defrag's destination blocks); UAlloc itself never sees a cached block.
 #pragma once
 
 #include <atomic>
@@ -60,12 +64,13 @@ struct BinHeader;
 
 struct FixedLaneStats {
   std::uint64_t hits = 0;           // allocations served by a lane pop
-  std::uint64_t misses = 0;         // pops on an empty lane (refill follows)
+  std::uint64_t misses = 0;         // pops on an empty lane (slab-refilled
+                                    // classes refill next)
   std::uint64_t refills = 0;        // slab refill transactions
   std::uint64_t refill_blocks = 0;  // blocks fetched by refills
   std::uint64_t topups = 0;         // proactive low-stock restocks (on hits)
-  std::uint64_t spills = 0;         // pushes that crossed the high water
-  std::uint64_t spill_blocks = 0;   // blocks drained by spill hysteresis
+  std::uint64_t spills = 0;         // pushes past a lane's bound
+  std::uint64_t spill_blocks = 0;   // blocks those spills published
   std::uint64_t flushes = 0;        // blocks drained by flush()
   std::uint64_t cached = 0;         // blocks lane-resident right now
 };
@@ -73,18 +78,13 @@ struct FixedLaneStats {
 class FixedLane {
  public:
   /// `num_arenas` lanes per class, matching the UAlloc arena (= SM) count.
-  /// `refill_depth` overrides the per-class refill slab size
+  /// `refill_depth` overrides the slab-refilled classes' slab size
   /// (fixed_lane_refill(cls)) when nonzero; clamped to kFixedLaneMaxRefill.
   FixedLane(UAlloc& ua, bool enabled, std::uint32_t refill_depth = 0);
   ~FixedLane();
 
   FixedLane(const FixedLane&) = delete;
   FixedLane& operator=(const FixedLane&) = delete;
-
-  /// Is a rounded request size lane-served at all (compile-time shape)?
-  static constexpr bool eligible_size(std::size_t rounded) {
-    return rounded <= kFixedLaneMaxSize;
-  }
 
   /// Runtime switch (default: the compile-time TOMA_FIXED_LANE). Turning
   /// the lane off flushes every cached block back into the bin
@@ -96,19 +96,21 @@ class FixedLane {
   }
   bool enabled() const { return on_.load(std::memory_order_relaxed); }
 
-  /// Allocate a block of rounded power-of-two `size` (<= kFixedLaneMaxSize)
-  /// from the calling SM's lane, refilling a slab from UAlloc on a miss.
-  /// nullptr when the refill found no memory anywhere — the caller falls
-  /// through to the ordinary allocation path (which can still satisfy a
-  /// single block where a slab failed).
+  /// Allocate a block of rounded power-of-two `size` (8..1024) from the
+  /// calling SM's lane; a slab-refilled class refills a slab from UAlloc
+  /// on a miss. nullptr on a free-stocked miss, or when the refill found
+  /// no memory anywhere — the caller falls through to the ordinary
+  /// allocation path (which can still satisfy a single block where a
+  /// slab failed).
   void* allocate(std::size_t size);
 
-  /// Free-side hook, called with the block already decoded. Caches `p` on
-  /// the calling SM's lane (cross-SM frees land on the *freeing* SM, like
-  /// magazine pushes — the block carries its identity in the bin header).
-  /// Returns false when the lane is off or the class is not lane-served;
-  /// the caller then frees through the normal path.
-  bool try_free_decoded(void* p, const BinHeader* bin);
+  /// Free-side hook, called with `p` already decoded to block `idx` of
+  /// `bin`. Caches `p` on the calling SM's lane (cross-SM frees land on
+  /// the *freeing* SM — the block carries its identity in the bin
+  /// header); a push past the lane's bound publishes through the free
+  /// path here. Returns false only when the lane is off; the caller then
+  /// frees through UAlloc.
+  bool try_free_decoded(void* p, BinHeader* bin, std::uint32_t idx);
 
   /// Drain every lane: each cached block re-enters the accounting through
   /// the free-publication path. Returns blocks flushed. Safe concurrently
@@ -131,7 +133,7 @@ class FixedLane {
 
  private:
   /// One (SM, class) lane. Blocks are linked through their first word
-  /// (every lane class is >= 8 B and 8-byte aligned). Cache-line aligned
+  /// (every UAlloc class is >= 8 B and 8-byte aligned). Cache-line aligned
   /// so neighbouring lanes never false-share.
   struct alignas(64) Lane {
     mutable sync::SpinMutex mu;
@@ -148,6 +150,9 @@ class FixedLane {
     /// Push one block; returns the count *after* the push (the caller
     /// applies the spill hysteresis).
     std::uint32_t push(void* p);
+    /// Push one block unless the lane already holds `cap`; false when
+    /// full (the free-stocked bound, checked under the lock).
+    bool push_below(void* p, std::uint32_t cap);
     /// Splice a pre-linked chain of n blocks (head first) in O(1);
     /// returns the count after the splice (spill-hysteresis input).
     std::uint32_t push_chain(void* chain_head, void* chain_tail,
@@ -157,10 +162,10 @@ class FixedLane {
   };
 
   Lane& lane(std::uint32_t arena, std::uint32_t cls) {
-    return lanes_[arena * kFixedLaneClasses + cls];
+    return lanes_[arena * kNumSizeClasses + cls];
   }
   const Lane& lane(std::uint32_t arena, std::uint32_t cls) const {
-    return lanes_[arena * kFixedLaneClasses + cls];
+    return lanes_[arena * kNumSizeClasses + cls];
   }
 
   /// In-kernel miss path: warp-mates that missed the same empty lane form
@@ -188,8 +193,8 @@ class FixedLane {
   /// free-publication path.
   void spill(Lane& ln, std::uint32_t cls);
 
-  /// Return one cached block to the bin accounting (decode + free_slow).
-  void publish(void* p);
+  /// Spill statistics: one spill that published `blocks` blocks.
+  void count_spill(std::uint64_t blocks);
 
   /// Refill slab size for `cls`: the configured override, or the
   /// per-class default tied to the bin capacity.
@@ -201,9 +206,11 @@ class FixedLane {
   std::uint32_t num_arenas_;
   std::uint32_t refill_depth_;  // 0 = per-class default
   std::atomic<bool> on_;
-  std::vector<Lane> lanes_;  // num_arenas_ * kFixedLaneClasses
+  std::vector<Lane> lanes_;  // num_arenas_ * kNumSizeClasses
 
-  mutable std::atomic<std::uint64_t> st_hits_{0};
+  // Every lane op bumps one of these; a line of their own keeps those
+  // writes from invalidating the read-mostly fields above on every SM.
+  alignas(64) mutable std::atomic<std::uint64_t> st_hits_{0};
   mutable std::atomic<std::uint64_t> st_misses_{0};
   mutable std::atomic<std::uint64_t> st_refills_{0};
   mutable std::atomic<std::uint64_t> st_refill_blocks_{0};

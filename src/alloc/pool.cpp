@@ -206,12 +206,12 @@ void* Pool::malloc_async(std::size_t size, gpu::Stream& s,
   // shadow bookkeeping would blind the sanitizer.
   if (async_enabled() && size != 0 && !alloc_.heapsan().engaged()) {
     const std::size_t effective = GpuAllocator::effective_size(size);
-    // Sub-64 B requests skip the per-(pool, stream) pending-block scan:
-    // the fixed lane recycles them in O(1) through alloc_.malloc below,
-    // and the linear probe was *slower* than a plain malloc at these
-    // sizes (the 16 B async regression).
+    // 8..64 B requests skip the per-(pool, stream) pending-block scan:
+    // the fixed lane's slab-refilled classes recycle them in O(1)
+    // through alloc_.malloc below, and the linear probe was *slower*
+    // than a plain malloc at these sizes (the 16 B async regression).
     if (!(alloc_.fixed_lane_enabled() &&
-          FixedLane::eligible_size(effective))) {
+          effective <= kFixedLaneSlabMaxSize)) {
       p = streams_.try_reuse(effective, s);
     }
   }
@@ -243,7 +243,7 @@ void Pool::free_async(void* p, gpu::Stream& s) {
     TOMA_CTR_INC("pool.stream.passthrough");
     alloc_.free(p);
   } else if (alloc_.lane_routable(p)) {
-    // Small lane-served blocks bypass the pending-block machinery: the
+    // Small slab-refilled blocks bypass the pending-block machinery: the
     // free completes now (the ordering contract again holds trivially)
     // and the block lands on the freeing SM's lane, where the next small
     // malloc_async picks it up in O(1) instead of scanning the stream's

@@ -132,7 +132,7 @@ class Pool {
   }
 
   /// Bytes stranded outside both live allocations and the buddy tree
-  /// (magazine/quicklist caches, partial bins, quarantine) — what the
+  /// (lane/quicklist caches, partial bins, quarantine) — what the
   /// release threshold compares against. Measured against the *mapped*
   /// footprint: unmapped VA of an elastic pool is not stranded, it was
   /// never resident.

@@ -5,11 +5,11 @@
 // the (pool, stream) slot in O(1). To the bin/tree machinery a pending
 // block is still *allocated* — its bitmap bit stays claimed, its tree
 // node stays Busy, its quota charge stays reserved — the same "cached
-// blocks are still allocated to the accounting" invariant the magazines,
+// blocks are still allocated to the accounting" invariant the fixed lanes,
 // quicklists and HeapSan quarantine rely on, applied one layer up.
 //
 // The batch drains at stream-sync points through the ordinary free path
-// (magazines / quicklists first). Draining back-to-back clusters the
+// (fixed lanes / quicklists first). Draining back-to-back clusters the
 // RCU barriers that bin unlink/retire emit, so the conditional-barrier
 // delegation (paper §4.2.1) collapses them into ~one grace period per
 // batch instead of one per free.
@@ -77,7 +77,7 @@ class StreamFrontEnd {
 
   /// Park `p` (a raw, non-sanitized block of the owning pool) on `s`.
   /// O(1) except when the slot hits kStreamPendingCap, which drains it
-  /// inline (the caller pays, like a magazine spill).
+  /// inline (the caller pays, like a lane spill).
   void free_async(void* p, gpu::Stream& s);
 
   /// Same-stream reuse: a pending block whose slot capacity is exactly

@@ -33,27 +33,10 @@ Arena::Arena(UAlloc& parent, std::uint32_t index)
   classes_.reserve(kNumSizeClasses);
   for (std::uint32_t c = 0; c < kNumSizeClasses; ++c) {
     classes_.push_back(std::make_unique<SizeClassState>(rcu_));
-    magazines_[c].set_capacity(magazine_capacity(c));
   }
 }
 
 void* Arena::allocate(std::uint32_t cls) {
-  // Magazine front-end: recently freed blocks of this (arena, class) are
-  // served in constant time, touching neither the semaphore nor the RCU
-  // bin lists. Each lane pops for itself *before* the warp rendezvous, so
-  // a coalesced group is formed only by the lanes the magazine could not
-  // satisfy — the group falls through smaller, exactly as many blocks
-  // short as the magazine provided.
-  if (parent_->magazines_enabled()) {
-    if (void* p = magazines_[cls].pop()) {
-      TOMA_CTR_INC("ualloc.magazine.hit");
-      parent_->st_mag_hits_.fetch_add(1, std::memory_order_relaxed);
-      parent_->st_allocs_.fetch_add(1, std::memory_order_relaxed);
-      return p;
-    }
-    TOMA_CTR_INC("ualloc.magazine.miss");
-    parent_->st_mag_misses_.fetch_add(1, std::memory_order_relaxed);
-  }
   // Transparent request coalescing (paper §2.2): warp-mates concurrently
   // allocating the same class take a specialized group path. Only when
   // one bin can hold a whole warp's worth of blocks.
@@ -465,24 +448,7 @@ std::uint32_t UAlloc::allocate_batch(std::uint32_t home_arena,
 void UAlloc::free(void* p) {
   std::uint32_t idx;
   BinHeader* bin = decode(p, &idx);
-  free_decoded(bin, idx, p);
-}
-
-void UAlloc::free_decoded(BinHeader* bin, std::uint32_t idx, void* p) {
-  st_frees_.fetch_add(1, std::memory_order_relaxed);
-  if (magazines_enabled()) {
-    // Cache into the *freeing* SM's arena (cheapest locality for the next
-    // malloc here), whatever arena owns the bin — the block carries its
-    // identity in the chunk/bin headers, so a later pop needs no routing.
-    // The bitmap bit stays claimed while cached: to the accounting, the
-    // block is still allocated.
-    const std::uint32_t a = gpu::this_thread::sm_id_or_hash(
-        static_cast<std::uint32_t>(arenas_.size()));
-    if (arenas_[a]->magazines_[bin->size_class].push(p)) return;
-    TOMA_CTR_INC("ualloc.magazine.spill");
-    st_mag_spills_.fetch_add(1, std::memory_order_relaxed);
-  }
-  free_slow(bin, idx);
+  free_decoded(bin, idx);
 }
 
 void UAlloc::free_slow(BinHeader* bin, std::uint32_t idx) {
@@ -716,30 +682,7 @@ void UAlloc::maybe_retire_chunk(ChunkHeader* chunk) {
   buddy_->free(chunk);
 }
 
-std::size_t UAlloc::release_cached() {
-  std::size_t flushed = 0;
-  for (auto& arena : arenas_) {
-    for (std::uint32_t c = 0; c < kNumSizeClasses; ++c) {
-      while (void* p = arena->magazines_[c].pop()) {
-        std::uint32_t idx;
-        BinHeader* bin = decode(p, &idx);
-        free_slow(bin, idx);
-        ++flushed;
-      }
-    }
-  }
-  if (flushed > 0) {
-    TOMA_CTR_ADD("ualloc.magazine.flush", flushed);
-    st_mag_flushes_.fetch_add(flushed, std::memory_order_relaxed);
-  }
-  return flushed;
-}
-
 std::size_t UAlloc::trim() {
-  // Cached blocks pin their bins (bitmap bits stay claimed), so flush the
-  // magazines before scavenging — otherwise a fully-idle chunk whose
-  // blocks sit in magazines would never retire.
-  release_cached();
   const std::uint64_t chunks_before =
       st_chunks_retired_.load(std::memory_order_relaxed);
   for (auto& arena : arenas_) {
@@ -935,16 +878,7 @@ UAllocStats UAlloc::stats() const {
   s.bin_unlinks = st_bin_unlinks_.load(std::memory_order_relaxed);
   s.bin_relists = st_bin_relists_.load(std::memory_order_relaxed);
   s.list_retries = st_list_retries_.load(std::memory_order_relaxed);
-  s.magazine_hits = st_mag_hits_.load(std::memory_order_relaxed);
-  s.magazine_misses = st_mag_misses_.load(std::memory_order_relaxed);
-  s.magazine_spills = st_mag_spills_.load(std::memory_order_relaxed);
-  s.magazine_flushes = st_mag_flushes_.load(std::memory_order_relaxed);
   s.arena_fallbacks = st_arena_fallbacks_.load(std::memory_order_relaxed);
-  for (const auto& arena : arenas_) {
-    for (std::uint32_t c = 0; c < kNumSizeClasses; ++c) {
-      s.magazine_cached += arena->magazines_[c].count();
-    }
-  }
   return s;
 }
 
@@ -992,38 +926,6 @@ bool UAlloc::check_consistency() const {
                      static_cast<unsigned long long>(snap.value),
                      static_cast<unsigned long long>(claimable));
         ok = false;
-      }
-    }
-    // Magazine integrity: every cached block must still hold its claimed
-    // bitmap bit (otherwise the block is simultaneously cached and
-    // claimable — a double-allocation waiting to happen), belong to the
-    // class it is filed under, and the chain length must match the bound
-    // accounting.
-    for (std::uint32_t c = 0; c < kNumSizeClasses; ++c) {
-      const Magazine& mag = arena->magazines_[c];
-      const std::vector<void*> cached = mag.snapshot();
-      if (cached.size() != mag.count() || mag.count() > mag.capacity()) {
-        std::fprintf(stderr,
-                     "UAlloc: arena %u class %u magazine chain %zu vs "
-                     "count %u (cap %u)\n",
-                     arena->index_, c, cached.size(), mag.count(),
-                     mag.capacity());
-        ok = false;
-      }
-      for (void* p : cached) {
-        std::uint32_t idx;
-        BinHeader* bin = decode(p, &idx);
-        if (bin->size_class != c) {
-          std::fprintf(stderr,
-                       "UAlloc: magazine %u/%u caches block of class %u\n",
-                       arena->index_, c, bin->size_class);
-          ok = false;
-        }
-        if (!bin->bitmap().test(idx)) {
-          std::fprintf(stderr,
-                       "UAlloc: cached block %p lost its claimed bit\n", p);
-          ok = false;
-        }
       }
     }
     const auto bsnap = arena->bin_slots_.snapshot();

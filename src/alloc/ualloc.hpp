@@ -43,13 +43,10 @@
 //     chunks retire back to TBuddy — both opportunistically, gated by
 //     try_wait so accounting never goes negative (no false starvation,
 //     no phantom units).
-//   * In front of all of the above sits a per-(arena, class) *magazine*
-//     (not in the paper): a bounded LIFO of freed blocks whose bitmap
-//     bits stay claimed while cached. Steady-state malloc/free churn on
-//     one SM becomes a constant-time push/pop that never touches the
-//     semaphore, the RCU lists, or the parked-unit protocol; magazine
-//     overflow spills through the normal free path and release_cached()
-//     (called by trim) flushes everything back into the accounting.
+//
+// UAlloc itself caches nothing: the constant-time parked-block cache in
+// front of it (not in the paper) is the FixedLane, owned by GpuAllocator
+// (alloc/fixed_lane.hpp).
 #pragma once
 
 #include <atomic>
@@ -129,76 +126,6 @@ struct ChunkHeader {
 static_assert(sizeof(ChunkHeader) <= kBinHeaderSize,
               "chunk header must fit in 128 bytes");
 
-/// Bounded per-(arena, size-class) LIFO cache of freed blocks — the
-/// constant-time front end of the allocator (not in the paper; see
-/// docs/INTERNALS.md §4b).
-///
-/// A cached block is, to the bin machinery, still *allocated*: its bitmap
-/// bit stays claimed, its bin's free_count excludes it, and no semaphore
-/// unit exists for it. push/pop therefore commute with every invariant in
-/// this file — the magazine only defers the moment a block re-enters (or
-/// leaves) the accounting protocol.
-///
-/// Blocks are linked through their own (dead) payload — every UAlloc class
-/// is >= 8 B and 8-byte aligned, so the first word holds the next pointer
-/// for free. Push and pop are two pointer writes under a per-magazine spin
-/// lock; the lock is private to one (arena, class), so in the steady state
-/// it is uncontended and the whole operation is constant-time. All next-
-/// pointer accesses happen under the lock, which also orders them against
-/// the application's own stores into a block it just obtained (the popping
-/// thread's acquire pairs with the pushing thread's release).
-class Magazine {
- public:
-  /// Fix the bound. Called once, before first use (Arena constructor).
-  void set_capacity(std::uint32_t cap) { cap_ = cap; }
-  std::uint32_t capacity() const { return cap_; }
-
-  /// Cache `p`; false when full — the caller must spill `p` through the
-  /// normal free path.
-  bool push(void* p) {
-    sync::LockGuard<sync::SpinMutex> g(mu_);
-    if (count_.load(std::memory_order_relaxed) >= cap_) return false;
-    *static_cast<void**>(p) = head_;
-    head_ = p;
-    count_.fetch_add(1, std::memory_order_relaxed);
-    return true;
-  }
-
-  /// Most recently cached block, or nullptr when empty. The empty check is
-  /// a single relaxed load so a cold magazine costs one cache probe.
-  void* pop() {
-    if (count_.load(std::memory_order_relaxed) == 0) return nullptr;
-    sync::LockGuard<sync::SpinMutex> g(mu_);
-    void* p = head_;
-    if (p == nullptr) return nullptr;
-    head_ = *static_cast<void**>(p);
-    count_.fetch_sub(1, std::memory_order_relaxed);
-    return p;
-  }
-
-  /// Cached blocks right now (approximate under concurrency, exact when
-  /// quiescent — same contract as every other statistics read here).
-  std::uint32_t count() const {
-    return count_.load(std::memory_order_relaxed);
-  }
-
-  /// Copy of the cached blocks, top first (consistency checks, tests).
-  std::vector<void*> snapshot() const {
-    sync::LockGuard<sync::SpinMutex> g(mu_);
-    std::vector<void*> out;
-    for (void* p = head_; p != nullptr; p = *static_cast<void**>(p)) {
-      out.push_back(p);
-    }
-    return out;
-  }
-
- private:
-  mutable sync::SpinMutex mu_;
-  void* head_ = nullptr;
-  std::atomic<std::uint32_t> count_{0};
-  std::uint32_t cap_ = 0;
-};
-
 /// Per-(arena, size class) structures.
 struct SizeClassState {
   explicit SizeClassState(sync::SrcuDomain& dom) : bins(dom) {}
@@ -229,12 +156,6 @@ class Arena {
   UAlloc& parent() { return *parent_; }
   std::uint32_t index() const { return index_; }
   sync::SrcuDomain& rcu() { return rcu_; }
-
-  /// Blocks currently cached in this arena's magazine for `cls` (tests,
-  /// stats).
-  std::uint32_t magazine_count(std::uint32_t cls) const {
-    return magazines_[cls].count();
-  }
 
  private:
   friend class UAlloc;
@@ -277,7 +198,6 @@ class Arena {
   UAlloc* parent_;
   std::uint32_t index_;
   sync::SrcuDomain rcu_;
-  Magazine magazines_[kNumSizeClasses];
   std::vector<std::unique_ptr<SizeClassState>> classes_;
   sync::BulkSemaphore bin_slots_;         // free bin slots in chunk list
   util::IntrusiveList<ChunkHeader, &ChunkHeader::chunk_node> chunks_;
@@ -296,11 +216,6 @@ struct UAllocStats {
   std::uint64_t bin_unlinks = 0;
   std::uint64_t bin_relists = 0;
   std::uint64_t list_retries = 0;
-  std::uint64_t magazine_hits = 0;     // allocations served by a magazine
-  std::uint64_t magazine_misses = 0;   // pops on an empty magazine
-  std::uint64_t magazine_spills = 0;   // frees that overflowed a magazine
-  std::uint64_t magazine_flushes = 0;  // blocks evicted by release_cached()
-  std::uint64_t magazine_cached = 0;   // blocks cached right now
   std::uint64_t arena_fallbacks = 0;   // allocations served by a non-home
                                        // arena after the home arena OOM'd
 };
@@ -345,9 +260,13 @@ class UAlloc {
     return decode(p, block_idx);
   }
 
-  /// The tail of free(): `p` already decoded to (bin, idx). Magazine
-  /// push first, slow publication otherwise.
-  void free_decoded(BinHeader* bin, std::uint32_t idx, void* p);
+  /// The tail of free(): the block already decoded to (bin, idx). Also
+  /// defrag's free: a migrating bin must drain toward empty, so its
+  /// blocks bypass the lane and publish here directly.
+  void free_decoded(BinHeader* bin, std::uint32_t idx) {
+    st_frees_.fetch_add(1, std::memory_order_relaxed);
+    free_slow(bin, idx);
+  }
 
   /// Byte size of the block containing `p` (its size class).
   std::size_t usable_size(void* p) const;
@@ -365,25 +284,6 @@ class UAlloc {
   /// Ablation knob: disable the warp-coalesced allocation path.
   void set_coalescing(bool on) { coalesce_ = on; }
 
-  /// Ablation/runtime knob for the magazine front-end (default is the
-  /// compile-time TOMA_UALLOC_MAGAZINES). Turning magazines off flushes
-  /// every cached block back through the normal free path, so the
-  /// paper-faithful configuration is reachable at any quiescent point.
-  void set_magazines(bool on) {
-    magazines_on_.store(on, std::memory_order_relaxed);
-    if (!on) release_cached();
-  }
-  bool magazines_enabled() const {
-    return magazines_on_.load(std::memory_order_relaxed);
-  }
-
-  /// Flush every magazine: each cached block re-enters the accounting
-  /// protocol through the normal free-publication path (clearing its
-  /// bitmap bit, parking and signalling a unit, possibly retiring its
-  /// bin). Returns the number of blocks flushed. Safe to call
-  /// concurrently with allocation; trim() calls this first so cached
-  /// blocks cannot pin otherwise-empty bins or chunks.
-  std::size_t release_cached();
   TBuddy& buddy() { return *buddy_; }
   Arena& arena(std::uint32_t i) { return *arenas_[i]; }
 
@@ -416,8 +316,8 @@ class UAlloc {
 
   /// Walk every chunk of every arena and census the carved data bins.
   /// Meaningful only while the allocator is quiescent (the defrag
-  /// contract); counts include magazine/lane-cached blocks, which is why
-  /// defrag flushes those caches first.
+  /// contract); counts include lane-cached blocks, which is why defrag
+  /// flushes the caches first.
   std::vector<BinOccupancy> snapshot_bins();
 
   /// Range-restricted census: only bins whose chunk base lies in
@@ -431,14 +331,6 @@ class UAlloc {
   /// the tail-aware private geometry, exposed read-only).
   void* block_address(BinHeader* bin, std::uint32_t idx) const {
     return block_addr(bin, idx);
-  }
-
-  /// Defrag's free bypass: publish block `idx` of `bin` through the slow
-  /// path, never a magazine — a migrating bin must drain toward empty,
-  /// not recycle its blocks into the next allocation.
-  void free_for_defrag(BinHeader* bin, std::uint32_t idx) {
-    st_frees_.fetch_add(1, std::memory_order_relaxed);
-    free_slow(bin, idx);
   }
 
   /// Pin bin headers in [lo, hi) for the incremental compactor: while
@@ -458,14 +350,10 @@ class UAlloc {
 
  private:
   friend class Arena;
-  // FixedLane republishes cached blocks via free_slow and keeps the
-  // alloc/free statistics boundary-symmetric (see fixed_lane.cpp).
-  friend class FixedLane;
 
   // --- bin lifecycle (cold paths) -----------------------------------------
   /// The paper's free path: clear the bitmap bit of block `idx` and
-  /// publish the freed block. Taken on magazine overflow/flush, or always
-  /// when magazines are off.
+  /// publish the freed block.
   void free_slow(BinHeader* bin, std::uint32_t idx);
   /// Publish one freed block of `bin` (bit already cleared): park a unit
   /// and drain.
@@ -503,7 +391,6 @@ class UAlloc {
   TBuddy* buddy_;
   bool use_tails_;
   bool coalesce_ = true;
-  std::atomic<bool> magazines_on_{TOMA_UALLOC_MAGAZINES != 0};
 
   // Evacuation range (see set_evac_range): bins here are retire-pinned.
   std::atomic<std::uintptr_t> evac_lo_{0};
@@ -519,10 +406,6 @@ class UAlloc {
   mutable std::atomic<std::uint64_t> st_bin_unlinks_{0};
   mutable std::atomic<std::uint64_t> st_bin_relists_{0};
   mutable std::atomic<std::uint64_t> st_list_retries_{0};
-  mutable std::atomic<std::uint64_t> st_mag_hits_{0};
-  mutable std::atomic<std::uint64_t> st_mag_misses_{0};
-  mutable std::atomic<std::uint64_t> st_mag_spills_{0};
-  mutable std::atomic<std::uint64_t> st_mag_flushes_{0};
   mutable std::atomic<std::uint64_t> st_arena_fallbacks_{0};
 };
 

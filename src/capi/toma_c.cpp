@@ -63,7 +63,6 @@ HeapConfig to_cpp(const toma_pool_config_t& c) {
   cfg.quota_bytes = c.quota_bytes;
   cfg.release_threshold = c.release_threshold;
   apply_toggle(cfg.heapsan, c.heapsan);
-  apply_toggle(cfg.magazines, c.magazines);
   apply_toggle(cfg.quicklist, c.quicklist);
   apply_toggle(cfg.fixed_lane, c.fixed_lane);
   cfg.fixed_lane_refill_depth = c.fixed_lane_refill_depth;
@@ -112,7 +111,6 @@ toma_pool_config_t toma_pool_config_default(void) {
   c.quota_bytes = defaults.quota_bytes;
   c.release_threshold = defaults.release_threshold;
   c.heapsan = -1;
-  c.magazines = -1;
   c.quicklist = -1;
   c.stream_async = -1;
   c.slo_latency_ns = defaults.slo_latency_ns;

@@ -15,7 +15,7 @@
 //
 // Freed blocks enter a bounded FIFO quarantine instead of returning to the
 // allocator. A quarantined block keeps its bitmap bit / tree node / bulk
-// semaphore units consumed — the same invariant trick the magazines and
+// semaphore units consumed — the same invariant trick the fixed lanes and
 // quicklists use (a cached block is "still allocated" to the accounting) —
 // so no allocator invariant ever sees quarantine. Eviction (cap overflow,
 // trim(), pool pressure) releases the *base* pointer through a callback the

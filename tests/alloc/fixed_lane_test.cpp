@@ -1,10 +1,13 @@
-// FixedLane: the constant-time fixed-size fast lane for the hot small
-// classes (8..64 B). Covers the lane's O(1) hit path, slab-grained refill,
-// spill hysteresis, the claimed-while-cached invariant (trim/flush drain,
-// truthful exhaustion), cross-SM free-to-foreign-lane handoff, and the
-// full front-end toggle matrix. The stream-ordered interplay lives in
-// stream_async_test.cpp (lane routing of sub-64 B async frees); the
-// OS-thread/TSan leg lives in integration/host_stress_test.cpp.
+// FixedLane: the constant-time parked-block cache in front of every UAlloc
+// class. Covers the lane's O(1) hit path, the slab-refilled classes'
+// (8..64 B) slab-grained refill and spill hysteresis, the free-stocked
+// classes' (128 B..1 KiB) no-refill policy, the claimed-while-cached
+// invariant (trim/flush drain, truthful exhaustion), cross-SM
+// free-to-foreign-lane handoff, and the full front-end toggle matrix. The
+// free-stocked bound and the UAlloc-boundary accounting live in
+// ualloc_test.cpp; the stream-ordered interplay in stream_async_test.cpp
+// (lane routing of 8..64 B async frees); the OS-thread/TSan leg in
+// integration/host_stress_test.cpp.
 #include "alloc/fixed_lane.hpp"
 
 #include <gtest/gtest.h>
@@ -26,12 +29,17 @@ namespace {
 constexpr std::size_t kMiB = 1024 * 1024;
 
 TEST(FixedLane, GeometryConstants) {
-  // 8, 16, 32, 64 B are lane-served; 128 B and up are not.
-  EXPECT_EQ(kFixedLaneClasses, 4u);
-  EXPECT_TRUE(FixedLane::eligible_size(8));
-  EXPECT_TRUE(FixedLane::eligible_size(64));
-  EXPECT_FALSE(FixedLane::eligible_size(128));
-  for (std::uint32_t c = 0; c < kFixedLaneClasses; ++c) {
+  // 8, 16, 32, 64 B are slab-refilled; 128 B..1 KiB are free-stocked,
+  // capped at two bins' worth.
+  for (std::uint32_t c = 0; c < kNumSizeClasses; ++c) {
+    EXPECT_EQ(fixed_lane_slab_refilled(c),
+              size_of_class(c) <= kFixedLaneSlabMaxSize);
+    if (!fixed_lane_slab_refilled(c)) {
+      EXPECT_EQ(fixed_lane_capacity(c), 2 * bin_capacity(c));
+    }
+  }
+  EXPECT_EQ(kFixedLaneSlabMaxSize, 64u);
+  for (std::uint32_t c = 0; c <= size_class_of(kFixedLaneSlabMaxSize); ++c) {
     // A refill slab must fit the capacity bound with room for concurrent
     // frees (the hysteresis drains to low water, which sits above the
     // refill size so a fresh slab is never immediately spilled back).
@@ -91,19 +99,32 @@ TEST(FixedLane, MissRefillsSlabThenHitsLifo) {
   EXPECT_TRUE(ga.check_consistency());
 }
 
-TEST(FixedLane, LargeClassesBypassTheLane) {
+TEST(FixedLane, FreeStockedClassesNeverRefill) {
   GpuAllocator ga(HeapConfig{.pool_bytes = 8 * kMiB,
                              .num_arenas = 2,
                              .heapsan = false,
                              .fixed_lane = true});
-  for (std::size_t size : {128, 256, 1024, 4096}) {
+  // TBuddy sizes never see the lane.
+  void* big = ga.malloc(4096);
+  ASSERT_NE(big, nullptr);
+  ga.free(big);
+  EXPECT_EQ(ga.stats().lane.hits + ga.stats().lane.misses, 0u);
+
+  // 128 B..1 KiB: a miss falls through to UAlloc without a slab, the free
+  // parks the block, and the next malloc pops it back.
+  for (std::size_t size : {128, 256, 512, 1024}) {
     void* p = ga.malloc(size);
     ASSERT_NE(p, nullptr);
     ga.free(p);
+    EXPECT_EQ(ga.malloc(size), p);
+    ga.free(p);
   }
   const auto st = ga.stats();
-  EXPECT_EQ(st.lane.hits + st.lane.misses, 0u);
-  EXPECT_EQ(st.lane.cached, 0u);
+  EXPECT_EQ(st.lane.misses, 4u);
+  EXPECT_EQ(st.lane.hits, 4u);
+  EXPECT_EQ(st.lane.refills + st.lane.topups, 0u);
+  EXPECT_EQ(st.lane.cached, 4u);
+  EXPECT_EQ(st.ualloc.allocs, 4u);  // one block per class left the bins
   EXPECT_TRUE(ga.check_consistency());
 }
 
@@ -203,22 +224,20 @@ TEST(FixedLane, RuntimeToggleFlushesAndReroutes) {
 }
 
 TEST(FixedLane, ToggleMatrixChurn) {
-  // The lane must compose with every front-end configuration: magazines,
-  // buddy quicklists, and HeapSan each ON/OFF, with the lane ON and OFF.
+  // The lane must compose with every front-end configuration: buddy
+  // quicklists and HeapSan each ON/OFF, with the lane ON and OFF.
   // (stream_async is a compile-time pool toggle; its lane interplay is
   // covered in stream_async_test.cpp and the CI feature-OFF legs.)
-  for (int mask = 0; mask < 16; ++mask) {
+  for (int mask = 0; mask < 8; ++mask) {
     const bool lane_on = (mask & 1) != 0;
-    const bool mags = (mask & 2) != 0;
-    const bool quick = (mask & 4) != 0;
-    const bool hsan = (mask & 8) != 0;
-    SCOPED_TRACE(::testing::Message()
-                 << "lane=" << lane_on << " magazines=" << mags
-                 << " quicklist=" << quick << " heapsan=" << hsan);
+    const bool quick = (mask & 2) != 0;
+    const bool hsan = (mask & 4) != 0;
+    SCOPED_TRACE(::testing::Message() << "lane=" << lane_on
+                                      << " quicklist=" << quick
+                                      << " heapsan=" << hsan);
     GpuAllocator ga(HeapConfig{.pool_bytes = 8 * kMiB,
                                .num_arenas = 2,
                                .heapsan = hsan,
-                               .magazines = mags,
                                .quicklist = quick,
                                .fixed_lane = lane_on});
     test::run_os_threads(4, [&](unsigned tid) {
@@ -234,7 +253,7 @@ TEST(FixedLane, ToggleMatrixChurn) {
           ga.free(held[slot]);
           held[slot] = nullptr;
         }
-        // Mostly lane-served sizes, with excursions above the threshold.
+        // Mostly slab-refilled sizes, with free-stocked excursions.
         const std::size_t size = std::size_t{8} << rng.next_below(6);
         void* p = ga.malloc(size);
         if (p != nullptr) {
@@ -265,7 +284,7 @@ TEST(FixedLane, ToggleMatrixChurn) {
 
 TEST(FixedLane, CrossSmFreeLandsOnFreeingSmLane) {
   // Producer threads on SM 0 allocate; consumers on SM 1 free. The frees
-  // must cache on the *freeing* SM's lane (like magazine pushes), and the
+  // must cache on the *freeing* SM's lane, and the
   // next SM-1 allocations must recycle exactly those blocks.
   gpu::Device dev(test::small_device(2, 512, 1));
   alloc::GpuAllocator ga(HeapConfig{.pool_bytes = 16 * kMiB,

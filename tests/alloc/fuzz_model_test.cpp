@@ -196,20 +196,20 @@ TEST(FuzzModel, GpuKernel) {
   EXPECT_EQ(ga.buddy().largest_free_block(), test::expected_coalesced_block(ga));
 }
 
-// The caching front-ends (UAlloc magazines, TBuddy quicklists) reroute the
+// The caching front-ends (the fixed lane, TBuddy quicklists) reroute the
 // hot paths entirely, so the model must hold under every toggle
 // combination — not just the build's compile-time default.
 TEST(FuzzModel, ToggleMatrix) {
-  for (const bool magazines : {false, true}) {
+  for (const bool lane : {false, true}) {
     for (const bool quicklist : {false, true}) {
-      SCOPED_TRACE(testing::Message() << "magazines=" << magazines
+      SCOPED_TRACE(testing::Message() << "fixed_lane=" << lane
                                       << " quicklist=" << quicklist);
       GpuAllocator ga(32 * 1024 * 1024, 2);
-      ga.ualloc().set_magazines(magazines);
+      ga.set_fixed_lane(lane);
       ga.buddy().set_quicklist(quicklist);
       ShadowModel model;
       const std::uint64_t seed =
-          0xAB1E + (magazines ? 2u : 0u) + (quicklist ? 1u : 0u);
+          0xAB1E + (lane ? 2u : 0u) + (quicklist ? 1u : 0u);
       fuzz_worker(ga, model, seed, 4000, 15, [] {});
       EXPECT_EQ(model.live_count(), 0u);
       EXPECT_TRUE(ga.check_consistency());

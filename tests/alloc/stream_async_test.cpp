@@ -126,7 +126,7 @@ TEST(StreamAsync, OverflowCapForcesInlineDrain) {
   std::vector<void*> held;
   held.reserve(kStreamPendingCap);
   for (std::uint32_t i = 0; i < kStreamPendingCap; ++i) {
-    void* p = pool.malloc(128);  // above the fixed-lane threshold: defers
+    void* p = pool.malloc(128);  // above the slab-refilled sizes: defers
     ASSERT_NE(p, nullptr);
     held.push_back(p);
   }
@@ -233,7 +233,7 @@ TEST(StreamAsync, SmallFreesRouteThroughLaneNotPendingList) {
   void* p = pool.malloc(16);
   ASSERT_NE(p, nullptr);
 
-  // Lane-served sizes bypass the per-(pool, stream) pending machinery:
+  // Slab-refilled sizes bypass the per-(pool, stream) pending machinery:
   // the free completes immediately and the block lands on the lane.
   pool.free_async(p, s);
   EXPECT_EQ(pool.stats().stream.pending, 0u);

@@ -7,6 +7,7 @@
 #include <set>
 #include <vector>
 
+#include "alloc/allocator.hpp"
 #include "alloc/config.hpp"
 #include "gpusim/gpusim.hpp"
 #include "support/test_support.hpp"
@@ -324,114 +325,142 @@ TEST_F(UAllocTest, HostThreadsFallbackPath) {
 }
 
 // ---------------------------------------------------------------------------
-// Magazine front-end (docs/INTERNALS.md §4b)
+// The parked-block cache in front of UAlloc (docs/INTERNALS.md §4d)
+//
+// UAlloc caches nothing itself; the fixed lane in GpuAllocator parks freed
+// blocks for every class. These tests pin the cache's contract at the
+// UAlloc boundary. Most use the free-stocked classes (128 B..1 KiB), whose
+// lanes are stocked by frees alone, so every cached block is one the test
+// freed.
 // ---------------------------------------------------------------------------
 
-TEST_F(UAllocTest, MagazineHitReusesFreedBlock) {
-  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
-  void* p = ua_.allocate(64);
-  ASSERT_NE(p, nullptr);
-  ua_.free(p);
-  // The block parks in this thread's arena magazine, bitmap bit still set.
-  EXPECT_EQ(ua_.stats().magazine_cached, 1u);
-  void* q = ua_.allocate(64);
-  EXPECT_EQ(q, p) << "LIFO magazine must return the block just freed";
-  const auto st = ua_.stats();
-  EXPECT_EQ(st.magazine_hits, 1u);
-  EXPECT_EQ(st.magazine_cached, 0u);
-  ua_.free(q);
-  EXPECT_TRUE(ua_.check_consistency());
+class LaneFrontTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kPool = 16 * 1024 * 1024;
+  LaneFrontTest()
+      : ga_(HeapConfig{.pool_bytes = kPool,
+                       .num_arenas = 2,
+                       .heapsan = false,
+                       .fixed_lane = true}) {}
+  std::uint32_t lane_total(std::uint32_t cls) {
+    std::uint32_t n = 0;
+    for (std::uint32_t a = 0; a < ga_.ualloc().num_arenas(); ++a) {
+      n += ga_.fixed_lane().lane_count(a, cls);
+    }
+    return n;
+  }
+  GpuAllocator ga_;
+};
+
+TEST_F(LaneFrontTest, HitReusesFreedBlockLifo) {
+  for (std::size_t size : {128, 256, 512, 1024}) {
+    void* p = ga_.malloc(size);
+    ASSERT_NE(p, nullptr);
+    const auto before = ga_.stats().lane;
+    ga_.free(p);
+    // The block parks on this thread's lane, bitmap bit still set.
+    EXPECT_EQ(ga_.stats().lane.cached, before.cached + 1);
+    void* q = ga_.malloc(size);
+    EXPECT_EQ(q, p) << "LIFO lane must return the block just freed";
+    const auto st = ga_.stats().lane;
+    EXPECT_EQ(st.hits, before.hits + 1);
+    EXPECT_EQ(st.cached, before.cached);
+    EXPECT_EQ(st.refills, 0u) << "free-stocked classes never refill";
+    ga_.free(q);
+  }
+  EXPECT_TRUE(ga_.check_consistency());
 }
 
-TEST_F(UAllocTest, MagazineBoundedAndSpills) {
-  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
-  // 1 KB class: bin capacity 3, so the magazine caps at 6. Freeing 10
-  // blocks from one host thread parks 6 and spills 4 through the paper's
-  // free path.
+TEST_F(LaneFrontTest, FreeStockedLaneBoundedAndRejectsWhenFull) {
+  // 1 KiB class: bin capacity 3, so the lane caps at two bins = 6.
+  // Freeing 10 blocks from one host thread parks 6; each push onto the
+  // full lane frees that one block through the paper's free path.
   const std::uint32_t cls = size_class_of(1024);
-  const std::uint32_t cap = magazine_capacity(cls);
+  const std::uint32_t cap = fixed_lane_capacity(cls);
+  ASSERT_FALSE(fixed_lane_slab_refilled(cls));
   ASSERT_EQ(cap, 6u);
   std::vector<void*> ptrs;
   for (int i = 0; i < 10; ++i) {
-    void* p = ua_.allocate(1024);
+    void* p = ga_.malloc(1024);
     ASSERT_NE(p, nullptr);
     ptrs.push_back(p);
   }
-  for (void* p : ptrs) ua_.free(p);
-  const auto st = ua_.stats();
-  EXPECT_EQ(st.magazine_cached, cap);
-  EXPECT_EQ(st.magazine_spills, 10u - cap);
-  std::uint32_t total = 0;
-  for (std::uint32_t a = 0; a < ua_.num_arenas(); ++a) {
-    total += ua_.arena(a).magazine_count(cls);
-    EXPECT_LE(ua_.arena(a).magazine_count(cls), cap);
+  const std::uint64_t frees_before = ga_.stats().ualloc.frees;
+  for (void* p : ptrs) ga_.free(p);
+  const auto st = ga_.stats();
+  EXPECT_EQ(st.lane.cached, cap);
+  EXPECT_EQ(st.lane.spills, 10u - cap);
+  EXPECT_EQ(st.lane.spill_blocks, 10u - cap);
+  EXPECT_EQ(st.ualloc.frees - frees_before, 10u - cap);
+  for (std::uint32_t a = 0; a < ga_.ualloc().num_arenas(); ++a) {
+    EXPECT_LE(ga_.fixed_lane().lane_count(a, cls), cap);
   }
-  EXPECT_EQ(total, cap);
-  EXPECT_TRUE(ua_.check_consistency());  // validates cached-bit integrity
-  EXPECT_EQ(ua_.release_cached(), cap);
-  EXPECT_EQ(ua_.stats().magazine_cached, 0u);
-  EXPECT_TRUE(ua_.check_consistency());
+  EXPECT_EQ(lane_total(cls), cap);
+  EXPECT_TRUE(ga_.check_consistency());  // validates cached-bit integrity
+  EXPECT_EQ(ga_.release_cached(), cap);
+  EXPECT_EQ(ga_.stats().lane.cached, 0u);
+  EXPECT_TRUE(ga_.check_consistency());
 }
 
-TEST_F(UAllocTest, MagazineAccountingInvariantAfterFlush) {
-  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
-  // Every free either spills or parks, and every parked block is later
-  // popped (hit) or flushed: frees - spills == hits + flushes once the
-  // magazines are drained.
+TEST_F(LaneFrontTest, AccountingInvariantAfterFlush) {
+  // A block is outside the bin accounting exactly while it is live or
+  // lane-resident: UAlloc allocs - frees == live + cached at every
+  // quiescent point, and once everything is freed and the lanes flushed
+  // every block that left the bins has come back.
   util::Xorshift rng(11);
   std::vector<void*> held;
   for (int i = 0; i < 2000; ++i) {
     if (!held.empty() && (rng.next() & 1)) {
-      ua_.free(held.back());
+      ga_.free(held.back());
       held.pop_back();
     } else {
       const std::size_t size = std::size_t{8} << rng.next_below(8);
-      if (void* p = ua_.allocate(size)) held.push_back(p);
+      if (void* p = ga_.malloc(size)) held.push_back(p);
     }
   }
-  for (void* p : held) ua_.free(p);
-  ua_.release_cached();
-  const auto st = ua_.stats();
-  EXPECT_EQ(st.magazine_cached, 0u);
-  EXPECT_EQ(st.frees - st.magazine_spills,
-            st.magazine_hits + st.magazine_flushes);
-  EXPECT_TRUE(ua_.check_consistency());
+  auto st = ga_.stats();
+  EXPECT_EQ(st.ualloc.allocs - st.ualloc.frees, held.size() + st.lane.cached);
+  for (void* p : held) ga_.free(p);
+  ga_.release_cached();
+  st = ga_.stats();
+  EXPECT_EQ(st.lane.cached, 0u);
+  EXPECT_EQ(st.ualloc.allocs, st.ualloc.frees);
+  EXPECT_TRUE(ga_.check_consistency());
 }
 
-TEST_F(UAllocTest, MagazinesDisabledMatchesPaperPath) {
-  ua_.set_magazines(false);
-  void* p = ua_.allocate(64);
+TEST_F(LaneFrontTest, LaneDisabledMatchesPaperPath) {
+  ga_.set_fixed_lane(false);
+  for (std::size_t size : {64, 128}) {
+    void* p = ga_.malloc(size);
+    ASSERT_NE(p, nullptr);
+    ga_.free(p);
+  }
+  const auto st = ga_.stats();
+  EXPECT_EQ(st.lane.hits, 0u);
+  EXPECT_EQ(st.lane.misses, 0u);
+  EXPECT_EQ(st.lane.cached, 0u);
+  // Disabled means each free went straight through publish_free_block,
+  // so the block is claimable again without any flush.
+  EXPECT_EQ(st.ualloc.allocs, st.ualloc.frees);
+  EXPECT_EQ(ga_.release_cached(), 0u);
+  EXPECT_TRUE(ga_.check_consistency());
+}
+
+TEST_F(LaneFrontTest, DisablingLaneFlushesCachedBlocks) {
+  void* p = ga_.malloc(128);
   ASSERT_NE(p, nullptr);
-  ua_.free(p);
-  const auto st = ua_.stats();
-  EXPECT_EQ(st.magazine_hits, 0u);
-  EXPECT_EQ(st.magazine_misses, 0u);
-  EXPECT_EQ(st.magazine_cached, 0u);
-  // Disabled means the free went straight through publish_free_block, so
-  // the block is claimable again without any flush.
-  EXPECT_EQ(ua_.release_cached(), 0u);
-  EXPECT_TRUE(ua_.check_consistency());
-  ua_.set_magazines(TOMA_UALLOC_MAGAZINES != 0);
+  ga_.free(p);
+  ASSERT_EQ(ga_.stats().lane.cached, 1u);
+  ga_.set_fixed_lane(false);
+  const auto st = ga_.stats();
+  EXPECT_EQ(st.lane.cached, 0u);
+  EXPECT_EQ(st.lane.flushes, 1u);
+  EXPECT_TRUE(ga_.check_consistency());
 }
 
-TEST_F(UAllocTest, DisablingMagazinesFlushesCachedBlocks) {
-  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
-  void* p = ua_.allocate(128);
-  ASSERT_NE(p, nullptr);
-  ua_.free(p);
-  ASSERT_EQ(ua_.stats().magazine_cached, 1u);
-  ua_.set_magazines(false);
-  const auto st = ua_.stats();
-  EXPECT_EQ(st.magazine_cached, 0u);
-  EXPECT_EQ(st.magazine_flushes, 1u);
-  EXPECT_TRUE(ua_.check_consistency());
-  ua_.set_magazines(TOMA_UALLOC_MAGAZINES != 0);
-}
-
-TEST_F(UAllocTest, CrossSmFreeParksInFreeingSmsMagazine) {
-  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
-  // Alloc on SM i, free on SM j: the block must land in arena j's
-  // magazine (the freeing SM reuses it locally next), never arena i's.
+TEST_F(LaneFrontTest, CrossSmFreeParksOnFreeingSmsLane) {
+  // Alloc on SM i, free on SM j: the block must land on SM j's lane (the
+  // freeing SM reuses it locally next), never SM i's.
   gpu::Device dev(test::small_device(2, 256, 1));
   std::atomic<void*> handoff{nullptr};
   std::atomic<int> phase{0};
@@ -439,102 +468,102 @@ TEST_F(UAllocTest, CrossSmFreeParksInFreeingSmsMagazine) {
   dev.launch(gpu::Dim3{2}, gpu::Dim3{1}, [&](gpu::ThreadCtx& t) {
     if (t.block_rank() == 0) {
       alloc_sm.store(t.sm_id());
-      handoff.store(ua_.allocate(64), std::memory_order_release);
+      handoff.store(ga_.malloc(128), std::memory_order_release);
       phase.store(1, std::memory_order_release);
     } else {
       while (phase.load(std::memory_order_acquire) == 0) t.yield();
       free_sm.store(t.sm_id());
       void* p = handoff.load(std::memory_order_acquire);
       ASSERT_NE(p, nullptr);
-      ua_.free(p);
+      ga_.free(p);
     }
   });
-  const std::uint32_t cls = size_class_of(64);
-  const std::uint32_t freeing_arena = free_sm.load() % ua_.num_arenas();
-  EXPECT_EQ(ua_.arena(freeing_arena).magazine_count(cls), 1u);
-  if (alloc_sm.load() % ua_.num_arenas() != freeing_arena) {
-    EXPECT_EQ(
-        ua_.arena(alloc_sm.load() % ua_.num_arenas()).magazine_count(cls),
-        0u);
+  const std::uint32_t cls = size_class_of(128);
+  const std::uint32_t arenas = ga_.ualloc().num_arenas();
+  const std::uint32_t freeing_arena = free_sm.load() % arenas;
+  EXPECT_EQ(ga_.fixed_lane().lane_count(freeing_arena, cls), 1u);
+  if (alloc_sm.load() % arenas != freeing_arena) {
+    EXPECT_EQ(ga_.fixed_lane().lane_count(alloc_sm.load() % arenas, cls),
+              0u);
   }
-  EXPECT_EQ(ua_.stats().magazine_cached, 1u);
-  EXPECT_TRUE(ua_.check_consistency());
-  EXPECT_EQ(ua_.release_cached(), 1u);
-  EXPECT_TRUE(ua_.check_consistency());
+  EXPECT_EQ(ga_.stats().lane.cached, 1u);
+  EXPECT_TRUE(ga_.check_consistency());
+  EXPECT_EQ(ga_.release_cached(), 1u);
+  EXPECT_TRUE(ga_.check_consistency());
 }
 
-TEST_F(UAllocTest, HostThreadFreeOfDeviceAllocation) {
-  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
+TEST_F(LaneFrontTest, HostThreadFreeOfDeviceAllocation) {
   // Device threads allocate; plain OS threads free. The host-side frees
-  // park in hash-chosen arenas and the accounting still closes.
+  // park on hash-chosen lanes (or publish past the bound) and the
+  // accounting still closes.
   gpu::Device dev(test::small_device());
   constexpr std::uint64_t kThreads = 512;
   std::vector<std::atomic<void*>> slots(kThreads);
   dev.launch_linear(kThreads, 64, [&](gpu::ThreadCtx& t) {
-    slots[t.global_rank()].store(ua_.allocate(32));
+    slots[t.global_rank()].store(ga_.malloc(256));
   });
+  const std::uint64_t frees_before = ga_.stats().ualloc.frees;
   test::run_os_threads(4, [&](unsigned tid) {
     for (std::uint64_t i = tid; i < kThreads; i += 4) {
-      if (void* p = slots[i].load()) ua_.free(p);
+      if (void* p = slots[i].load()) ga_.free(p);
     }
   });
-  const std::uint32_t cls = size_class_of(32);
-  const std::uint32_t cap = magazine_capacity(cls);
-  std::uint64_t cached = 0;
-  for (std::uint32_t a = 0; a < ua_.num_arenas(); ++a) {
-    EXPECT_LE(ua_.arena(a).magazine_count(cls), cap);
-    cached += ua_.arena(a).magazine_count(cls);
+  const std::uint32_t cls = size_class_of(256);
+  const std::uint32_t cap = fixed_lane_capacity(cls);
+  for (std::uint32_t a = 0; a < ga_.ualloc().num_arenas(); ++a) {
+    EXPECT_LE(ga_.fixed_lane().lane_count(a, cls), cap);
   }
-  const auto st = ua_.stats();
-  EXPECT_EQ(st.magazine_cached, cached);
+  const std::uint64_t cached = lane_total(cls);
+  const auto st = ga_.stats();
+  EXPECT_EQ(st.lane.cached, cached);
   EXPECT_EQ(st.frees, kThreads);
-  EXPECT_EQ(st.magazine_spills, kThreads - cached);
-  EXPECT_TRUE(ua_.check_consistency());
-  ua_.release_cached();
-  EXPECT_EQ(ua_.stats().magazine_cached, 0u);
-  EXPECT_TRUE(ua_.check_consistency());
+  EXPECT_EQ(st.lane.spill_blocks, kThreads - cached);
+  EXPECT_EQ(st.ualloc.frees - frees_before, kThreads - cached);
+  EXPECT_TRUE(ga_.check_consistency());
+  ga_.release_cached();
+  EXPECT_EQ(ga_.stats().lane.cached, 0u);
+  EXPECT_TRUE(ga_.check_consistency());
 }
 
-TEST_F(UAllocTest, CoalescedWarpDrawsFromMagazineFirst) {
-  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
-  // Churn a full warp through alloc/free twice: round two's allocations
-  // should be satisfied by the magazines the round-one frees filled, so
-  // lanes peel off before the coalescing rendezvous.
+TEST_F(LaneFrontTest, CoalescedWarpDrawsFromLaneFirst) {
+  // Churn a full warp through alloc/free repeatedly: later rounds' pops
+  // are satisfied by the lanes the earlier frees filled, so those threads
+  // peel off before UAlloc's coalescing rendezvous, and the group that
+  // does form is exactly as many blocks short as the lane provided.
   gpu::Device dev(test::small_device());
   dev.launch_linear(2048, 128, [&](gpu::ThreadCtx& t) {
     for (int round = 0; round < 4; ++round) {
-      void* p = ua_.allocate(64);
+      void* p = ga_.malloc(128);
       ASSERT_NE(p, nullptr);
-      std::memset(p, 0xA5, 64);
+      std::memset(p, 0xA5, 128);
       t.yield();
-      ua_.free(p);
+      ga_.free(p);
     }
   });
-  const auto st = ua_.stats();
-  EXPECT_GT(st.magazine_hits, 0u);
-  EXPECT_TRUE(ua_.check_consistency());
-  ua_.release_cached();
-  EXPECT_TRUE(ua_.check_consistency());
+  const auto st = ga_.stats();
+  EXPECT_GT(st.lane.hits, 0u);
+  EXPECT_EQ(st.lane.refills, 0u);
+  EXPECT_TRUE(ga_.check_consistency());
+  ga_.release_cached();
+  EXPECT_TRUE(ga_.check_consistency());
 }
 
-TEST_F(UAllocTest, TrimFlushesMagazines) {
-  if (!ua_.magazines_enabled()) GTEST_SKIP() << "magazines compiled off";
-  const std::size_t before = buddy_.free_bytes();
+TEST_F(LaneFrontTest, TrimFlushesLanes) {
   std::vector<void*> ptrs;
   for (int i = 0; i < 200; ++i) {
-    void* p = ua_.allocate(256);
+    void* p = ga_.malloc(256);
     ASSERT_NE(p, nullptr);
     ptrs.push_back(p);
   }
-  for (void* p : ptrs) ua_.free(p);
-  EXPECT_GT(ua_.stats().magazine_cached, 0u);
-  // trim() must flush the magazines first or cached blocks pin their bins
+  for (void* p : ptrs) ga_.free(p);
+  EXPECT_GT(ga_.stats().lane.cached, 0u);
+  // trim() must flush the lanes first or cached blocks pin their bins
   // (and chunks) forever.
-  ua_.trim();
-  buddy_.trim();  // retired chunks sit in the buddy quicklist until flushed
-  EXPECT_EQ(ua_.stats().magazine_cached, 0u);
-  EXPECT_EQ(buddy_.free_bytes(), before);
-  EXPECT_TRUE(ua_.check_consistency());
+  ga_.trim();
+  EXPECT_EQ(ga_.stats().lane.cached, 0u);
+  EXPECT_EQ(ga_.buddy().largest_free_block(),
+            test::expected_coalesced_block(ga_));
+  EXPECT_TRUE(ga_.check_consistency());
 }
 
 TEST(UAllocArenaFallback, SingleChunkPoolServesAllArenas) {

@@ -4,7 +4,7 @@
 // so this binary is the one the TSan CI job runs. Everything here executes
 // on plain std::threads via the allocator's host fallback paths (arena
 // selection by thread-id hash), which share all the concurrency machinery
-// — semaphores, RCU lists, parked units, magazines — with the device path.
+// — semaphores, RCU lists, parked units, fixed lanes — with the device path.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -60,8 +60,8 @@ TEST(HostStress, MixedSizeChurn) {
 TEST(HostStress, CrossThreadFreeMailboxes) {
   // Producer threads allocate and publish; consumer threads free blocks
   // they never allocated. Every free lands in the *freeing* thread's
-  // hash-chosen arena magazine (or spills), exercising the cross-owner
-  // paths: chunk-header decode, remote bin publication, magazine bounds.
+  // hash-chosen lane (or spills), exercising the cross-owner paths:
+  // chunk-header decode, remote bin publication, lane bounds.
   alloc::GpuAllocator ga(32 * 1024 * 1024, /*num_arenas=*/4);
   constexpr unsigned kPairs = 4;
   constexpr int kPerThread = 3000;
@@ -93,26 +93,19 @@ TEST(HostStress, CrossThreadFreeMailboxes) {
     }
   });
 
-  EXPECT_TRUE(ga.check_consistency());  // includes magazine-bit integrity
+  EXPECT_TRUE(ga.check_consistency());  // includes lane-bit integrity
   const auto st = ga.stats();
   EXPECT_EQ(st.mallocs, st.frees + st.failed_mallocs);
-  if (ga.ualloc().magazines_enabled()) {
-    // Flush the two caches separately so each flush count can be checked
-    // against its own layer's accounting.
-    ga.fixed_lane().flush();
-    const std::size_t flushed = ga.ualloc().release_cached();
-    const auto after_all = ga.stats();
-    const auto& after = after_all.ualloc;
-    EXPECT_EQ(after.magazine_cached, 0u);
-    EXPECT_EQ(after_all.lane.cached, 0u);
-    EXPECT_EQ(after.magazine_flushes,
-              st.ualloc.magazine_flushes + flushed);
-    // Lane spill/flush publications bump UAlloc frees without touching a
-    // magazine; subtract them from the magazine balance.
-    const std::uint64_t lane_published =
-        after_all.lane.spill_blocks + after_all.lane.flushes;
-    EXPECT_EQ(after.frees - after.magazine_spills - lane_published,
-              after.magazine_hits + after.magazine_flushes);
+  if (ga.fixed_lane_enabled()) {
+    // Everything is freed, so every block outside the bin accounting is
+    // lane-resident; the flush must bring each one back exactly once.
+    EXPECT_EQ(st.ualloc.allocs - st.ualloc.frees, st.lane.cached);
+    const std::size_t flushed = ga.release_cached();
+    const auto after = ga.stats();
+    EXPECT_EQ(flushed, st.lane.cached);
+    EXPECT_EQ(after.lane.cached, 0u);
+    EXPECT_EQ(after.lane.flushes, st.lane.flushes + flushed);
+    EXPECT_EQ(after.ualloc.allocs, after.ualloc.frees);
   }
   ga.trim();
   EXPECT_EQ(ga.buddy().largest_free_block(), test::expected_coalesced_block(ga));
@@ -174,7 +167,7 @@ TEST(HostStress, BuddyQuicklistChurn) {
 
 TEST(HostStress, QuicklistToggleRace) {
   // Flip the quicklist and CAS-claim switches while other threads churn:
-  // like the magazine toggle, the switches only gate *entry* into the
+  // like the lane toggle, the switches only gate *entry* into the
   // fast paths, so every interleaving must keep the semaphore/tree
   // accounting closed.
   constexpr std::size_t kPool = 8 * 1024 * 1024;
@@ -213,7 +206,7 @@ TEST(HostStress, QuicklistToggleRace) {
 }
 
 TEST(HostStress, FixedLaneToggleRace) {
-  // Flip the fixed lane while other threads churn lane-served sizes: the
+  // Flip the fixed lane while other threads churn slab-refilled sizes: the
   // toggle's disable path flush()es concurrently with pushes, pops, and
   // slab refills, so TSan watches the lane lock protocol and the
   // claimed-while-cached handoff under preemptive threads.
@@ -236,7 +229,7 @@ TEST(HostStress, FixedLaneToggleRace) {
         ga.free(held.back());
         held.pop_back();
       } else {
-        // Lane-served sizes only (8..64 B) so every op contends the lane.
+        // Slab-refilled sizes only (8..64 B) so refills race the toggle.
         const std::size_t size = std::size_t{8} << rng.next_below(4);
         if (void* p = ga.malloc(size)) held.push_back(p);
       }
@@ -300,19 +293,21 @@ TEST(HostStress, VmmToggleRace) {
   EXPECT_GE(st.vmm.mapped_chunks, 1u);
 }
 
-TEST(HostStress, MagazineToggleRace) {
-  // Flip the magazine switch while other threads churn: the toggle only
-  // gates *entry* into the cache, so every configuration interleaving must
-  // keep the accounting closed and the structures consistent.
+TEST(HostStress, LaneToggleRace) {
+  // Flip the fixed-lane switch while other threads churn every UAlloc
+  // class, so the free-stocked lanes (128 B..1 KiB) race the toggle too:
+  // the toggle only gates *entry* into the cache, so every configuration
+  // interleaving must keep the accounting closed and the structures
+  // consistent.
   alloc::GpuAllocator ga(16 * 1024 * 1024, /*num_arenas=*/2);
   std::atomic<bool> stop{false};
   test::run_os_threads(5, [&](unsigned tid) {
     if (tid == 0) {  // toggler
       for (int i = 0; i < 200; ++i) {
-        ga.ualloc().set_magazines(i % 2 == 0);
+        ga.set_fixed_lane(i % 2 == 0);
         std::this_thread::yield();
       }
-      ga.ualloc().set_magazines(true);
+      ga.set_fixed_lane(true);
       stop.store(true, std::memory_order_release);
       return;
     }

@@ -182,8 +182,8 @@ Snapshot sample_snapshot() {
   Snapshot s;
   s.counters["alloc.malloc"] = 100;
   s.counters["alloc.free"] = 90;
-  s.counters["ualloc.magazine.hit"] = 30;
-  s.counters["ualloc.magazine.miss"] = 10;
+  s.counters["ualloc.lane.hit"] = 30;
+  s.counters["ualloc.lane.miss"] = 10;
   s.counters["ualloc.arena_alloc[0]"] = 7;
   s.counters["ualloc.arena_alloc[1]"] = 9;
   s.counters["pool.slo_violation{pool=\"a\"}"] = 3;

@@ -2,7 +2,7 @@
 //
 // The negative tests inject one bug of each class — double-free, OOB
 // write, use-after-free, leak — and assert HeapSan reports it precisely,
-// with the magazine and quicklist fast paths explicitly ENABLED: the
+// with the fixed-lane and quicklist fast paths explicitly ENABLED: the
 // quarantine must compose with the caching front-ends, not require them
 // off. A capturing report handler stands in for the default
 // print-and-abort handler so the binary keeps running after a detection.
@@ -63,12 +63,12 @@ class HeapSanTest : public ::testing::Test {
 
   /// Allocator with HeapSan on and both caching fast paths forced ON
   /// (whatever the build's compile-time defaults), per the acceptance
-  /// criteria: detection must work *through* magazines and quicklists.
+  /// criteria: detection must work *through* the lanes and quicklists.
   static std::unique_ptr<GpuAllocator> make_ga(
       std::size_t pool_bytes = 32 * 1024 * 1024, std::uint32_t arenas = 2) {
     auto ga = std::make_unique<GpuAllocator>(pool_bytes, arenas);
     ga->set_heapsan(true);
-    ga->ualloc().set_magazines(true);
+    ga->set_fixed_lane(true);
     ga->buddy().set_quicklist(true);
     return ga;
   }
@@ -124,7 +124,7 @@ TEST_F(HeapSanTest, QuarantineDelaysReuse) {
   ASSERT_NE(p, nullptr);
   ga->free(p);
   // While quarantined, the block's base is never handed back, so no malloc
-  // can return the same user pointer — even through the magazines.
+  // can return the same user pointer — even through the lanes.
   std::vector<void*> got;
   for (int i = 0; i < 16; ++i) {
     void* q = ga->malloc(32);

@@ -449,6 +449,58 @@ TEST(Vmm, IncrementalDefragCompactsAndRetires) {
   EXPECT_TRUE(ga.check_consistency());
 }
 
+// A vetoed incremental move hands its destination slot back through the
+// fixed lane, exactly like a tenant free: the slot parks on the lane of
+// its class (bitmap bit still claimed) instead of bypassing the cache
+// into the bins, and the bin accounting stays exact around it.
+TEST(Vmm, IncrementalDefragVetoParksDestinationOnLane) {
+  HeapConfig cfg = elastic_cfg();
+  cfg.fixed_lane = true;
+  GpuAllocator ga(cfg);
+  std::size_t prepares = 0;
+  ga.set_relocation_hooks(alloc::RelocationHooks{
+      [&](void*, void*, std::size_t) {
+        ++prepares;
+        return false;  // veto every move
+      },
+      nullptr, nullptr});
+
+  constexpr int kBlocks = 4096;
+  std::vector<void*> held(kBlocks);
+  for (int i = 0; i < kBlocks; ++i) {
+    held[i] = ga.malloc(256);
+    ASSERT_NE(held[i], nullptr);
+  }
+  std::vector<void*> live;
+  for (int i = 0; i < kBlocks; ++i) {
+    if (i % 16 == 0) {
+      live.push_back(held[i]);
+    } else {
+      ga.free(held[i]);
+    }
+  }
+  ga.trim();
+  ga.shrink_backing();
+  ASSERT_GT(ga.mapped_bytes(), 2 * kChunkSize);  // a victim is selectable
+
+  ASSERT_EQ(ga.stats().lane.cached, 0u);  // trim drained the lanes
+  ga.defrag_step();
+  ASSERT_GT(prepares, 0u) << "no move reached the prepare hook";
+  // Every veto returned the same destination to the lane, and every
+  // later move popped it straight back: the lane nets exactly one block,
+  // on the 256 B lane of the only arena.
+  ASSERT_EQ(ga.stats().lane.cached, 1u);
+  EXPECT_EQ(ga.fixed_lane().lane_count(0, alloc::size_class_of(256)), 1u);
+  EXPECT_EQ(ga.stats().defrag_moved_bytes, 0u);
+  EXPECT_TRUE(ga.check_consistency());
+
+  ga.set_relocation_hooks({});
+  for (void* p : live) ga.free(p);
+  EXPECT_EQ(ga.bytes_in_use(), 0u);
+  ga.trim();
+  EXPECT_TRUE(ga.check_consistency());
+}
+
 // While a chunk is in kForwarding, the *old* addresses of its moved
 // blocks must stay operable: usable_size resolves read-only, free and
 // realloc consume the entry and land on the current block. The source
