@@ -161,10 +161,7 @@ void* GpuAllocator::resolve_forward(void* p, bool consume) const {
   // unique_ptr does not propagate constness: the table stays mutable
   // from this const entry point (usable_size never consumes).
   void* q = vmm_->forward().on_free(p, &forwarded);
-  if (forwarded) {
-    st_defrag_forwarded_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("vmm.defrag.forwarded");
-  }
+  if (forwarded) counts_.inc(kDefragForwarded);
   return q;
 }
 
@@ -234,18 +231,17 @@ GpuAllocator::GrowOutcome GpuAllocator::grow_backing(std::uint64_t& epoch) {
   buddy_->inject_block(chunk, vmm_chunk_order_);
   grow_epoch_.store(cur + 1, std::memory_order_relaxed);
   epoch = cur + 1;
-  TOMA_CTR_INC("vmm.grow");
   return GrowOutcome::kGrew;
 }
 
-void* GpuAllocator::malloc(std::size_t size, AllocStatus* status) {
+void* GpuAllocator::malloc(std::size_t size, AllocStatus* status,
+                           obs::OpSpan* span) {
   if (size == 0) {
     if (status != nullptr) *status = AllocStatus::kInvalidArg;
     return nullptr;
   }
-  st_mallocs_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("alloc.malloc");
-  [[maybe_unused]] const std::uint64_t t0 = TOMA_NOW_NS();
+  counts_.inc(kMallocs);
+  const std::uint64_t t0 = TOMA_NOW_NS();
   // Pin the epoch across the whole allocation: list/bin metadata read
   // below may live in a chunk the incremental compactor wants to unmap,
   // and retirement waits for this pin to drain.
@@ -263,11 +259,10 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status) {
         reserve_bytes(charge))) {
     // Quota rejection — quarantined blocks count against the quota until
     // evicted, so the quarantine is flushed before the verdict is final.
-    st_failed_.fetch_add(1, std::memory_order_relaxed);
-    st_quota_rejects_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("alloc.failed");
-    TOMA_CTR_INC("alloc.quota_reject");
+    counts_.inc(kFailed);
+    counts_.inc(kQuotaRejects);
     TOMA_TRACE("alloc.quota", size);
+    if (span != nullptr) *span = {t0, TOMA_NOW_NS()};
     if (status != nullptr) *status = AllocStatus::kQuota;
     return nullptr;
   }
@@ -307,18 +302,18 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status) {
   if (p != nullptr && sanitized) {
     p = san_->on_alloc(p, effective_size(wrapped), size);
   }
+  const std::uint64_t t1 = TOMA_NOW_NS();
   TOMA_HISTV("alloc.malloc_ns", kSizeClassBuckets, size_class_index(rounded),
-             TOMA_NOW_NS() - t0);
+             t1 - t0);
+  if (span != nullptr) *span = {t0, t1};
   if (p == nullptr) {
     in_use_.fetch_sub(charge, std::memory_order_relaxed);
     if (vmm_ != nullptr) TOMA_CTR_ADD("vmm.live_bytes.freed", charge);
-    st_failed_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("alloc.failed");
+    counts_.inc(kFailed);
     if (grow_quota_denied) {
       // Not true exhaustion: the reservation has room, but mapping more
       // would exceed the tenant's resident-footprint quota.
-      st_quota_rejects_.fetch_add(1, std::memory_order_relaxed);
-      TOMA_CTR_INC("alloc.quota_reject");
+      counts_.inc(kQuotaRejects);
       TOMA_TRACE("alloc.quota", size);
       if (status != nullptr) *status = AllocStatus::kQuota;
     } else {
@@ -331,11 +326,10 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status) {
   return p;
 }
 
-void GpuAllocator::free(void* p) {
+void GpuAllocator::free(void* p, obs::OpSpan* span) {
   if (p == nullptr) return;
-  st_frees_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("alloc.free");
-  [[maybe_unused]] const std::uint64_t t0 = TOMA_NOW_NS();
+  counts_.inc(kFrees);
+  const std::uint64_t t0 = TOMA_NOW_NS();
   sync::PinGuard pin(pin_target());
   // A stale free at a moved block's old address retires the forward
   // entry and lands on the current location. Must precede any decode:
@@ -344,31 +338,33 @@ void GpuAllocator::free(void* p) {
   // Sanitized blocks (including ones allocated before a set_heapsan(false))
   // detour through verification + quarantine; the memory reaches the raw
   // allocators on eviction via free_base(). Unknown pointers fall through.
-  if (san_->engaged() &&
-      san_->on_free(p) == san::HeapSan::FreeResult::kOk) {
-    TOMA_HIST("alloc.free_ns", TOMA_NOW_NS() - t0);
-    return;
+  if (!san_->engaged() ||
+      san_->on_free(p) != san::HeapSan::FreeResult::kOk) {
+    free_base(p);
   }
-  free_base(p);
-  TOMA_HIST("alloc.free_ns", TOMA_NOW_NS() - t0);
+  const std::uint64_t t1 = TOMA_NOW_NS();
+  TOMA_HIST("alloc.free_ns", t1 - t0);
+  if (span != nullptr) *span = {t0, t1};
 }
 
 void* GpuAllocator::calloc(std::size_t n, std::size_t size,
-                           AllocStatus* status) {
+                           AllocStatus* status, obs::OpSpan* span) {
   if (n != 0 && size > SIZE_MAX / n) {
     // Overflowing requests are failed allocation attempts, not silent
     // no-ops: count them so mallocs == frees + failed_mallocs stays an
     // invariant across every path.
-    st_mallocs_.fetch_add(1, std::memory_order_relaxed);
-    st_failed_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("alloc.malloc");
-    TOMA_CTR_INC("alloc.failed");
+    counts_.inc(kMallocs);
+    counts_.inc(kFailed);
     if (status != nullptr) *status = AllocStatus::kInvalidArg;
     return nullptr;
   }
   const std::size_t total = n * size;
-  void* p = malloc(total, status);
-  if (p != nullptr) std::memset(p, 0, total);
+  void* p = malloc(total, status, span);
+  if (p != nullptr) {
+    std::memset(p, 0, total);
+    // The caller's interval covers the zeroing too.
+    if (span != nullptr) span->t1 = TOMA_NOW_NS();
+  }
   return p;
 }
 
@@ -380,8 +376,7 @@ void* GpuAllocator::realloc(void* p, std::size_t size, AllocStatus* status) {
     return nullptr;
   }
   if (status != nullptr) *status = AllocStatus::kOk;
-  st_reallocs_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("alloc.realloc");
+  counts_.inc(kReallocs);
   sync::PinGuard pin(pin_target());
   // A realloc at a forwarded old address adopts the block's current
   // location (consuming the entry — the caller gets the live pointer
@@ -392,8 +387,7 @@ void* GpuAllocator::realloc(void* p, std::size_t size, AllocStatus* status) {
     // Sanitized block: in place iff the wrapped new size still rounds to
     // the slot we hold; the redzone/poison boundary moves to the new size.
     if (san_->try_resize(p, size, effective_size(san_->wrap_size(size)))) {
-      st_reallocs_inplace_.fetch_add(1, std::memory_order_relaxed);
-      TOMA_CTR_INC("alloc.realloc_inplace");
+      counts_.inc(kReallocsInplace);
       return p;
     }
     void* q = malloc(size, status);
@@ -407,8 +401,7 @@ void* GpuAllocator::realloc(void* p, std::size_t size, AllocStatus* status) {
     // The new size rounds to the very block we hold (same UAlloc class or
     // buddy order): no copy, no free/malloc round trip. Note
     // effective_size(size) >= size, so equality implies size <= old_cap.
-    st_reallocs_inplace_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("alloc.realloc_inplace");
+    counts_.inc(kReallocsInplace);
     return p;
   }
   void* q = malloc(size, status);
@@ -468,7 +461,6 @@ std::size_t GpuAllocator::shrink_backing() {
           vmm_->chunk_state(ci) == vmm::ChunkState::kLive) {
         vmm_->unmap_chunk(ci);
         ++progress;
-        TOMA_CTR_INC("vmm.shrink");
       } else {
         buddy_->inject_block(chunk, vmm_chunk_order_);
       }
@@ -519,8 +511,7 @@ std::size_t GpuAllocator::defrag(std::size_t max_moves) {
   // held slots as live and (under permissive hooks) double-free them —
   // the two drivers are mutually exclusive until the queue drains.
   if (active_ != nullptr || !forwarding_.empty()) return 0;
-  st_defrag_passes_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("vmm.defrag_passes");
+  counts_.inc(kDefragPasses);
   // Quiescent-point preamble: every cached block must re-enter the bin
   // accounting or the occupancy census undercounts (a lane or quarantine
   // resident keeps its bitmap bit claimed but is dead weight).
@@ -596,10 +587,7 @@ std::size_t GpuAllocator::defrag(std::size_t max_moves) {
   // the OS.
   trim();
   shrink_backing();
-  if (moved != 0) {
-    st_defrag_moves_.fetch_add(moved, std::memory_order_relaxed);
-    TOMA_CTR_ADD("vmm.defrag_moves", moved);
-  }
+  if (moved != 0) counts_.add(kDefragMoves, moved);
   return moved;
 }
 
@@ -745,8 +733,7 @@ std::size_t GpuAllocator::defrag_step(std::size_t budget_bytes) {
   // safety is "every pinned reader drained", which is vacuous unless
   // the hot paths actually pin.
   pins_on_.store(true, std::memory_order_seq_cst);
-  st_defrag_steps_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("vmm.defrag.steps");
+  counts_.inc(kDefragSteps);
   if (budget_bytes == 0) budget_bytes = kVmmDefragStepBytes;
   step_retire();
   std::size_t moved_bytes = 0;
@@ -755,10 +742,7 @@ std::size_t GpuAllocator::defrag_step(std::size_t budget_bytes) {
     if (active_ != nullptr) moved_bytes = step_evacuate(budget_bytes);
   }
   defrag_mu_.unlock();
-  if (moved_bytes != 0) {
-    st_defrag_moved_bytes_.fetch_add(moved_bytes, std::memory_order_relaxed);
-    TOMA_CTR_ADD("vmm.defrag.moved_bytes", moved_bytes);
-  }
+  if (moved_bytes != 0) counts_.add(kDefragMovedBytes, moved_bytes);
   return moved_bytes;
 }
 
@@ -935,8 +919,7 @@ void GpuAllocator::step_retire() {
     head.token = pins_.retire();
   }
   if (!pins_.quiesced(head.token)) {
-    st_defrag_pin_stalls_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("vmm.defrag.pin_stalls");
+    counts_.inc(kDefragPinStalls);
     return;
   }
   char* chunk_base = static_cast<char*>(vmm_->chunk_addr(head.chunk));
@@ -983,7 +966,6 @@ void GpuAllocator::step_retire() {
         if (ci == head.chunk &&
             vmm_->mapped_chunks() > vmm_initial_chunks_) {
           vmm_->unmap_chunk(ci);  // -> kRetired
-          TOMA_CTR_INC("vmm.shrink");
           TOMA_CTR_INC("vmm.defrag.retired");
         } else {
           buddy_->inject_block(c, vmm_chunk_order_);
@@ -1017,20 +999,20 @@ GpuAllocatorStats GpuAllocator::stats() const {
   s.heapsan = san_->stats();
   if (vmm_ != nullptr) s.vmm = vmm_->stats();
   s.mapped_bytes = mapped_bytes();
-  s.defrag_passes = st_defrag_passes_.load(std::memory_order_relaxed);
-  s.defrag_moves = st_defrag_moves_.load(std::memory_order_relaxed);
-  s.defrag_steps = st_defrag_steps_.load(std::memory_order_relaxed);
+  s.defrag_passes = counts_.value(kDefragPasses);
+  s.defrag_moves = counts_.value(kDefragMoves);
+  s.defrag_steps = counts_.value(kDefragSteps);
   s.defrag_moved_bytes =
-      st_defrag_moved_bytes_.load(std::memory_order_relaxed);
-  s.defrag_forwarded = st_defrag_forwarded_.load(std::memory_order_relaxed);
+      counts_.value(kDefragMovedBytes);
+  s.defrag_forwarded = counts_.value(kDefragForwarded);
   s.defrag_pin_stalls =
-      st_defrag_pin_stalls_.load(std::memory_order_relaxed);
-  s.mallocs = st_mallocs_.load(std::memory_order_relaxed);
-  s.failed_mallocs = st_failed_.load(std::memory_order_relaxed);
-  s.frees = st_frees_.load(std::memory_order_relaxed);
-  s.reallocs = st_reallocs_.load(std::memory_order_relaxed);
-  s.reallocs_inplace = st_reallocs_inplace_.load(std::memory_order_relaxed);
-  s.quota_rejects = st_quota_rejects_.load(std::memory_order_relaxed);
+      counts_.value(kDefragPinStalls);
+  s.mallocs = counts_.value(kMallocs);
+  s.failed_mallocs = counts_.value(kFailed);
+  s.frees = counts_.value(kFrees);
+  s.reallocs = counts_.value(kReallocs);
+  s.reallocs_inplace = counts_.value(kReallocsInplace);
+  s.quota_rejects = counts_.value(kQuotaRejects);
   s.bytes_in_use = in_use_.load(std::memory_order_relaxed);
   s.quota_bytes = quota_.load(std::memory_order_relaxed);
   return s;

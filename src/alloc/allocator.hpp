@@ -22,6 +22,8 @@
 #include "alloc/fixed_lane.hpp"
 #include "alloc/tbuddy.hpp"
 #include "alloc/ualloc.hpp"
+#include "obs/context.hpp"
+#include "obs/counter.hpp"
 #include "san/heapsan.hpp"
 #include "sync/epoch_pin.hpp"
 #include "sync/spin_mutex.hpp"
@@ -210,15 +212,21 @@ class GpuAllocator {
 
   /// Device-side malloc. Returns nullptr for size 0, oversized requests,
   /// pool exhaustion, or quota rejection; `status` (optional) reports
-  /// which.
-  void* malloc(std::size_t size, AllocStatus* status = nullptr);
+  /// which. `span` (optional) receives the interval the call timed for
+  /// alloc.malloc_ns — left untouched when it timed nothing (size 0) and
+  /// zero with telemetry compiled out — so a front-end reports the same
+  /// interval without reading the clock again.
+  void* malloc(std::size_t size, AllocStatus* status = nullptr,
+               obs::OpSpan* span = nullptr);
 
-  /// Device-side free. nullptr is ignored.
-  void free(void* p);
+  /// Device-side free. nullptr is ignored (`span` untouched); otherwise
+  /// `span` as in malloc(), for alloc.free_ns.
+  void free(void* p, obs::OpSpan* span = nullptr);
 
-  /// Zero-initialized allocation of n*size bytes (overflow-checked).
+  /// Zero-initialized allocation of n*size bytes (overflow-checked);
+  /// `span` as in malloc() (untouched on an overflowing request).
   void* calloc(std::size_t n, std::size_t size,
-               AllocStatus* status = nullptr);
+               AllocStatus* status = nullptr, obs::OpSpan* span = nullptr);
 
   /// Standard realloc semantics: grows/shrinks `p` to `size` bytes,
   /// preserving min(old, new) bytes; realloc(nullptr, s) == malloc(s);
@@ -524,18 +532,18 @@ class GpuAllocator {
   std::atomic<std::size_t> quota_{0};
   std::atomic<std::size_t> in_use_{0};
 
-  mutable std::atomic<std::uint64_t> st_mallocs_{0};
-  mutable std::atomic<std::uint64_t> st_failed_{0};
-  mutable std::atomic<std::uint64_t> st_frees_{0};
-  mutable std::atomic<std::uint64_t> st_reallocs_{0};
-  mutable std::atomic<std::uint64_t> st_reallocs_inplace_{0};
-  mutable std::atomic<std::uint64_t> st_quota_rejects_{0};
-  mutable std::atomic<std::uint64_t> st_defrag_passes_{0};
-  mutable std::atomic<std::uint64_t> st_defrag_moves_{0};
-  mutable std::atomic<std::uint64_t> st_defrag_steps_{0};
-  mutable std::atomic<std::uint64_t> st_defrag_moved_bytes_{0};
-  mutable std::atomic<std::uint64_t> st_defrag_forwarded_{0};
-  mutable std::atomic<std::uint64_t> st_defrag_pin_stalls_{0};
+  // GpuAllocatorStats counts, each bumped once, exported under the
+  // registry names below.
+  enum Count : std::uint32_t {
+    kMallocs, kFailed, kFrees, kReallocs, kReallocsInplace, kQuotaRejects,
+    kDefragPasses, kDefragMoves, kDefragSteps, kDefragMovedBytes,
+    kDefragForwarded, kDefragPinStalls
+  };
+  mutable obs::CounterSet counts_{{
+      "alloc.malloc", "alloc.failed", "alloc.free", "alloc.realloc",
+      "alloc.realloc_inplace", "alloc.quota_reject", "vmm.defrag_passes",
+      "vmm.defrag_moves", "vmm.defrag.steps", "vmm.defrag.moved_bytes",
+      "vmm.defrag.forwarded", "vmm.defrag.pin_stalls"}};
 };
 
 }  // namespace toma::alloc

@@ -5,7 +5,6 @@
 #include "alloc/ualloc.hpp"
 #include "gpusim/this_thread.hpp"
 #include "gpusim/warp.hpp"
-#include "obs/telemetry.hpp"
 #include "sync/spin_mutex.hpp"
 #include "util/assert.hpp"
 
@@ -79,8 +78,7 @@ void* FixedLane::allocate(std::size_t size) {
   const std::uint32_t a = gpu::this_thread::sm_id_or_hash(num_arenas_);
   Lane& ln = lane(a, cls);
   if (void* p = ln.pop()) {
-    TOMA_CTR_INC("ualloc.lane.hit");
-    st_hits_.fetch_add(1, std::memory_order_relaxed);
+    counts_.inc(kHits);
     // Proactive top-up: if this pop drained the stock below the trigger,
     // restock before the lane runs empty. The popper already holds its
     // block — no caller is stalled on this batch — and a lane that never
@@ -90,8 +88,7 @@ void* FixedLane::allocate(std::size_t size) {
         ln.count.load(std::memory_order_relaxed) <
             fixed_lane_top_trigger(cls) &&
         !ln.refilling.exchange(true, std::memory_order_acquire)) {
-      TOMA_CTR_INC("ualloc.lane.topup");
-      st_topups_.fetch_add(1, std::memory_order_relaxed);
+      counts_.inc(kTopups);
       void* extra = refill(ln, a, cls);
       if (extra != nullptr) ln.push(extra);
       ln.refilling.store(false, std::memory_order_release);
@@ -101,8 +98,7 @@ void* FixedLane::allocate(std::size_t size) {
   if (!slab) {
     // Free-stocked miss: UAlloc serves it, coalescing the warp's misses
     // into one semaphore transaction itself.
-    TOMA_CTR_INC("ualloc.lane.miss");
-    st_misses_.fetch_add(1, std::memory_order_relaxed);
+    counts_.inc(kMisses);
     return nullptr;
   }
   // Miss. In-kernel, resolve it warp-cooperatively: the lanes of this
@@ -131,8 +127,7 @@ void* FixedLane::allocate_coalesced_miss(Lane& ln, std::uint32_t home_arena,
       // briefly over-stocks (the spill hysteresis reclaims the excess),
       // but a gated leader would strand its whole group on the per-warp
       // semaphore path — measurably the worse trade at every size.
-      TOMA_CTR_INC("ualloc.lane.miss");
-      st_misses_.fetch_add(1, std::memory_order_relaxed);
+      counts_.inc(kMisses);
       lead = refill(ln, home_arena, cls, /*max_batches=*/1);
       ok = lead != nullptr;
     }
@@ -142,25 +137,21 @@ void* FixedLane::allocate_coalesced_miss(Lane& ln, std::uint32_t home_arena,
   } else if (gpu::warp_broadcast(ctx, g, kFailed) == kFailed) {
     // The leader's slab found no memory; every member falls through to
     // the single-block path, which can succeed where a slab could not.
-    TOMA_CTR_INC("ualloc.lane.miss");
-    st_misses_.fetch_add(1, std::memory_order_relaxed);
+    counts_.inc(kMisses);
     return nullptr;
   }
   if (void* p = ln.pop()) {
-    TOMA_CTR_INC("ualloc.lane.hit");
-    st_hits_.fetch_add(1, std::memory_order_relaxed);
+    counts_.inc(kHits);
     return p;
   }
   // Stock stolen between the broadcast and our pop — rare, harmless.
-  TOMA_CTR_INC("ualloc.lane.miss");
-  st_misses_.fetch_add(1, std::memory_order_relaxed);
+  counts_.inc(kMisses);
   return nullptr;
 }
 
 void* FixedLane::gated_refill(Lane& ln, std::uint32_t home_arena,
                               std::uint32_t cls) {
-  TOMA_CTR_INC("ualloc.lane.miss");
-  st_misses_.fetch_add(1, std::memory_order_relaxed);
+  counts_.inc(kMisses);
   if (ln.refilling.exchange(true, std::memory_order_acquire)) {
     // Another thread is already fetching this lane's slab. Don't pile on
     // — the caller falls through to the ordinary single-block path, so
@@ -196,10 +187,8 @@ void* FixedLane::refill(Lane& ln, std::uint32_t home_arena, std::uint32_t cls,
     const std::uint32_t got =
         ua_->allocate_batch(home_arena, cls, blocks, want);
     if (got == 0) break;
-    TOMA_CTR_INC("ualloc.lane.refill");
-    TOMA_CTR_ADD("ualloc.lane.refill_blocks", got);
-    st_refills_.fetch_add(1, std::memory_order_relaxed);
-    st_refill_blocks_.fetch_add(got, std::memory_order_relaxed);
+    counts_.inc(kRefills);
+    counts_.add(kRefillBlocks, got);
     std::uint32_t keep = 0;
     if (first == nullptr) {
       first = blocks[0];
@@ -262,10 +251,8 @@ void FixedLane::spill(Lane& ln, std::uint32_t cls) {
 }
 
 void FixedLane::count_spill(std::uint64_t blocks) {
-  TOMA_CTR_INC("ualloc.lane.spill");
-  TOMA_CTR_ADD("ualloc.lane.spill_blocks", blocks);
-  st_spills_.fetch_add(1, std::memory_order_relaxed);
-  st_spill_blocks_.fetch_add(blocks, std::memory_order_relaxed);
+  counts_.inc(kSpills);
+  counts_.add(kSpillBlocks, blocks);
 }
 
 std::size_t FixedLane::flush() {
@@ -279,10 +266,7 @@ std::size_t FixedLane::flush() {
       ++flushed;
     }
   }
-  if (flushed > 0) {
-    TOMA_CTR_ADD("ualloc.lane.flush", flushed);
-    st_flushes_.fetch_add(flushed, std::memory_order_relaxed);
-  }
+  if (flushed > 0) counts_.add(kFlushes, flushed);
   return flushed;
 }
 
@@ -301,14 +285,14 @@ std::uint32_t FixedLane::lane_count(std::uint32_t arena,
 
 FixedLaneStats FixedLane::stats() const {
   FixedLaneStats s;
-  s.hits = st_hits_.load(std::memory_order_relaxed);
-  s.misses = st_misses_.load(std::memory_order_relaxed);
-  s.refills = st_refills_.load(std::memory_order_relaxed);
-  s.refill_blocks = st_refill_blocks_.load(std::memory_order_relaxed);
-  s.topups = st_topups_.load(std::memory_order_relaxed);
-  s.spills = st_spills_.load(std::memory_order_relaxed);
-  s.spill_blocks = st_spill_blocks_.load(std::memory_order_relaxed);
-  s.flushes = st_flushes_.load(std::memory_order_relaxed);
+  s.hits = counts_.value(kHits);
+  s.misses = counts_.value(kMisses);
+  s.refills = counts_.value(kRefills);
+  s.refill_blocks = counts_.value(kRefillBlocks);
+  s.topups = counts_.value(kTopups);
+  s.spills = counts_.value(kSpills);
+  s.spill_blocks = counts_.value(kSpillBlocks);
+  s.flushes = counts_.value(kFlushes);
   s.cached = cached_count();
   return s;
 }

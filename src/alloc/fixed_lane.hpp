@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "alloc/config.hpp"
+#include "obs/counter.hpp"
 #include "sync/spin_mutex.hpp"
 
 namespace toma::gpu {
@@ -208,16 +209,16 @@ class FixedLane {
   std::atomic<bool> on_;
   std::vector<Lane> lanes_;  // num_arenas_ * kNumSizeClasses
 
-  // Every lane op bumps one of these; a line of their own keeps those
-  // writes from invalidating the read-mostly fields above on every SM.
-  alignas(64) mutable std::atomic<std::uint64_t> st_hits_{0};
-  mutable std::atomic<std::uint64_t> st_misses_{0};
-  mutable std::atomic<std::uint64_t> st_refills_{0};
-  mutable std::atomic<std::uint64_t> st_refill_blocks_{0};
-  mutable std::atomic<std::uint64_t> st_topups_{0};
-  mutable std::atomic<std::uint64_t> st_spills_{0};
-  mutable std::atomic<std::uint64_t> st_spill_blocks_{0};
-  mutable std::atomic<std::uint64_t> st_flushes_{0};
+  // Every lane op bumps one of these, on a line of the calling thread's
+  // own, exported under the registry names below.
+  enum Count : std::uint32_t {
+    kHits, kMisses, kRefills, kRefillBlocks, kTopups, kSpills, kSpillBlocks,
+    kFlushes
+  };
+  obs::CounterSet counts_{{"ualloc.lane.hit", "ualloc.lane.miss",
+                           "ualloc.lane.refill", "ualloc.lane.refill_blocks",
+                           "ualloc.lane.topup", "ualloc.lane.spill",
+                           "ualloc.lane.spill_blocks", "ualloc.lane.flush"}};
 };
 
 }  // namespace toma::alloc

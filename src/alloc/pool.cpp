@@ -84,14 +84,14 @@ Pool::Pool(std::string name, const HeapConfig& cfg)
       alloc_(cfg),
       streams_(alloc_),
       release_threshold_(cfg.release_threshold),
-      slo_ns_(cfg.slo_latency_ns) {
+      slo_ns_(cfg.slo_latency_ns),
+      counts_({"pool.sync", "", "pool.threshold_trim",
+               pool_series("pool.slo_violation", name_)}) {
   set_defrag_mode(cfg.effective_defrag_mode());
 #if TOMA_TELEMETRY
   h_malloc_ns_ =
       &obs::registry().histogram(pool_series("pool.malloc_ns", name_));
   h_free_ns_ = &obs::registry().histogram(pool_series("pool.free_ns", name_));
-  c_slo_violation_ =
-      &obs::registry().counter(pool_series("pool.slo_violation", name_));
 #endif
   TOMA_CTR_INC("pool.create");
 }
@@ -105,18 +105,14 @@ Pool::~Pool() {
   TOMA_CTR_INC("pool.destroy");
 }
 
-void Pool::observe_latency(obs::Histogram* h, std::uint64_t t0) {
+void Pool::observe_latency(obs::Histogram* h, std::uint64_t ns) {
 #if TOMA_TELEMETRY
-  const std::uint64_t dt = obs::now_ns() - t0;
-  h->record(dt);
+  h->record(ns);
   const std::uint64_t slo = slo_ns_.load(std::memory_order_relaxed);
-  if (slo != 0 && dt > slo) {
-    st_slo_violations_.fetch_add(1, std::memory_order_relaxed);
-    c_slo_violation_->inc();
-  }
+  if (slo != 0 && ns > slo) counts_.inc(kSloViolations);
 #else
   (void)h;
-  (void)t0;
+  (void)ns;
 #endif
 }
 
@@ -139,10 +135,10 @@ std::uint16_t Pool::record_id() {
 }
 
 void* Pool::malloc(std::size_t size, AllocStatus* status) {
-  const std::uint64_t t0 = TOMA_NOW_NS();
   AllocStatus st = AllocStatus::kOk;
-  void* p = alloc_.malloc(size, &st);
-  observe_latency(h_malloc_ns_, t0);
+  obs::OpSpan span;
+  void* p = alloc_.malloc(size, &st, &span);
+  observe_latency(h_malloc_ns_, span.ns());
   if (obs::recording_enabled()) {
     obs::Recorder::instance().on_alloc(record_id(), obs::RecOp::kMalloc, size,
                                        0, true, p, outcome_of(st));
@@ -152,23 +148,24 @@ void* Pool::malloc(std::size_t size, AllocStatus* status) {
 }
 
 void Pool::free(void* p) {
+  if (p == nullptr) return;  // a no-op: no latency sample, no SLO check
   // Record *before* the underlying free: once the block is back in the
   // allocator a racing thread can re-allocate the same pointer, and the
   // recorder's ptr->id map must not see that re-use first.
-  if (p != nullptr && obs::recording_enabled()) {
+  if (obs::recording_enabled()) {
     obs::Recorder::instance().on_free(record_id(), obs::RecOp::kFree, p, 0,
                                       true);
   }
-  const std::uint64_t t0 = TOMA_NOW_NS();
-  alloc_.free(p);
-  observe_latency(h_free_ns_, t0);
+  obs::OpSpan span;
+  alloc_.free(p, &span);
+  observe_latency(h_free_ns_, span.ns());
 }
 
 void* Pool::calloc(std::size_t n, std::size_t size, AllocStatus* status) {
-  const std::uint64_t t0 = TOMA_NOW_NS();
   AllocStatus st = AllocStatus::kOk;
-  void* p = alloc_.calloc(n, size, &st);
-  observe_latency(h_malloc_ns_, t0);
+  obs::OpSpan span;
+  void* p = alloc_.calloc(n, size, &st, &span);
+  observe_latency(h_malloc_ns_, span.ns());
   if (obs::recording_enabled()) {
     // Record the *total* request so replay issues calloc(1, total); an
     // overflowing n*size records as total 0, which replays to the same
@@ -188,7 +185,7 @@ void* Pool::realloc(void* p, std::size_t size, AllocStatus* status) {
       obs::recording_enabled() && (p != nullptr || size != 0) ? record_id() : 0;
   AllocStatus st = AllocStatus::kOk;
   void* q = alloc_.realloc(p, size, &st);
-  observe_latency(h_malloc_ns_, t0);
+  observe_latency(h_malloc_ns_, TOMA_NOW_NS() - t0);
   if (obs::recording_enabled() && (p != nullptr || size != 0)) {
     obs::Recorder::instance().on_realloc(rec, p, q, size, outcome_of(st));
   }
@@ -198,9 +195,12 @@ void* Pool::realloc(void* p, std::size_t size, AllocStatus* status) {
 
 void* Pool::malloc_async(std::size_t size, gpu::Stream& s,
                          AllocStatus* status) {
-  const std::uint64_t t0 = TOMA_NOW_NS();
   AllocStatus st = AllocStatus::kOk;
   void* p = nullptr;
+  // The op's interval: a reuse hit is timed here; otherwise it is the
+  // allocator's own span, stretched back over the pending-block scan
+  // when there was one (span.t0 != 0).
+  obs::OpSpan span;
   // Reuse is disabled while HeapSan is engaged: a sanitized pointer is
   // not a raw block base, and handing it back without the redzone /
   // shadow bookkeeping would blind the sanitizer.
@@ -212,11 +212,17 @@ void* Pool::malloc_async(std::size_t size, gpu::Stream& s,
     // than a plain malloc at these sizes (the 16 B async regression).
     if (!(alloc_.fixed_lane_enabled() &&
           effective <= kFixedLaneSlabMaxSize)) {
+      span.t0 = TOMA_NOW_NS();
       p = streams_.try_reuse(effective, s);
+      if (p != nullptr) span.t1 = TOMA_NOW_NS();
     }
   }
-  if (p == nullptr) p = alloc_.malloc(size, &st);
-  observe_latency(h_malloc_ns_, t0);
+  if (p == nullptr) {
+    const std::uint64_t scan_t0 = span.t0;
+    p = alloc_.malloc(size, &st, &span);
+    if (scan_t0 != 0) span.t0 = scan_t0;
+  }
+  observe_latency(h_malloc_ns_, span.ns());
   if (obs::recording_enabled()) {
     obs::Recorder::instance().on_alloc(record_id(), obs::RecOp::kMallocAsync,
                                        size, s.id(),
@@ -236,12 +242,12 @@ void Pool::free_async(void* p, gpu::Stream& s) {
     obs::Recorder::instance().on_free(record_id(), obs::RecOp::kFreeAsync, p,
                                       s.id(), &s == &gpu::default_stream());
   }
-  const std::uint64_t t0 = TOMA_NOW_NS();
+  obs::OpSpan span;
   if (!async_enabled() || alloc_.heapsan().engaged()) {
     // Degenerate (paper-faithful) mode: the ordering contract holds
     // trivially because the free completes before free_async returns.
     TOMA_CTR_INC("pool.stream.passthrough");
-    alloc_.free(p);
+    alloc_.free(p, &span);
   } else if (alloc_.lane_routable(p)) {
     // Small slab-refilled blocks bypass the pending-block machinery: the
     // free completes now (the ordering contract again holds trivially)
@@ -249,18 +255,20 @@ void Pool::free_async(void* p, gpu::Stream& s) {
     // malloc_async picks it up in O(1) instead of scanning the stream's
     // pending list.
     TOMA_CTR_INC("pool.stream.lane_route");
-    alloc_.free(p);
+    alloc_.free(p, &span);
   } else {
+    // Parked without the allocator: the one free path timed here.
+    span.t0 = TOMA_NOW_NS();
     streams_.free_async(p, s);
+    span.t1 = TOMA_NOW_NS();
   }
-  observe_latency(h_free_ns_, t0);
+  observe_latency(h_free_ns_, span.ns());
   maybe_defrag_tick();
 }
 
 std::size_t Pool::sync(gpu::Stream& s) {
   const std::size_t n = streams_.sync(s);
-  st_syncs_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("pool.sync");
+  counts_.inc(kSyncs);
   maybe_release();
   if (obs::recording_enabled()) {
     obs::Recorder::instance().on_sync(record_id(), obs::RecOp::kSync, s.id(),
@@ -271,7 +279,7 @@ std::size_t Pool::sync(gpu::Stream& s) {
 
 std::size_t Pool::sync_all() {
   const std::size_t n = streams_.sync_all();
-  st_syncs_.fetch_add(1, std::memory_order_relaxed);
+  counts_.inc(kSyncAlls);
   maybe_release();
   if (obs::recording_enabled()) {
     obs::Recorder::instance().on_sync(record_id(), obs::RecOp::kSyncAll, 0,
@@ -356,17 +364,16 @@ void Pool::maybe_release() {
   if (stranded_bytes() <= threshold) return;
   alloc_.trim();
   alloc_.shrink_backing();
-  st_threshold_trims_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("pool.threshold_trim");
+  counts_.inc(kThresholdTrims);
 }
 
 PoolStats Pool::stats() const {
   PoolStats s;
   s.alloc = alloc_.stats();
   s.stream = streams_.stats();
-  s.syncs = st_syncs_.load(std::memory_order_relaxed);
-  s.threshold_trims = st_threshold_trims_.load(std::memory_order_relaxed);
-  s.slo_violations = st_slo_violations_.load(std::memory_order_relaxed);
+  s.syncs = counts_.value(kSyncs) + counts_.value(kSyncAlls);
+  s.threshold_trims = counts_.value(kThresholdTrims);
+  s.slo_violations = counts_.value(kSloViolations);
   s.slo_target_ns = slo_ns_.load(std::memory_order_relaxed);
   s.bytes_in_use = alloc_.bytes_in_use();
   s.quota_bytes = alloc_.quota_bytes();

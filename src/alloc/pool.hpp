@@ -185,9 +185,9 @@ class Pool {
   /// to be exact, only amortized.
   void maybe_defrag_tick();
 
-  /// Record the op's latency into `h` and check it against the SLO
+  /// Record an op's latency (`ns`) into `h` and check it against the SLO
   /// target. Compiles to nothing with telemetry off.
-  void observe_latency(obs::Histogram* h, std::uint64_t t0);
+  void observe_latency(obs::Histogram* h, std::uint64_t ns);
 
   /// The pool's id in the active flight-recorder session, interning on
   /// first use per session (the recorder generation changes on start()).
@@ -201,15 +201,17 @@ class Pool {
   std::atomic<bool> async_on_{TOMA_STREAM_ASYNC != 0};
   std::atomic<std::uint8_t> defrag_mode_{0};  // DefragMode
   std::atomic<std::uint32_t> op_counter_{0};  // async-op tick counter
-  std::atomic<std::uint64_t> st_syncs_{0};
-  std::atomic<std::uint64_t> st_threshold_trims_{0};
   std::atomic<std::uint64_t> slo_ns_{0};
-  std::atomic<std::uint64_t> st_slo_violations_{0};
+  // PoolStats counts: sync() calls (exported as pool.sync), sync_all()
+  // calls, threshold trims and SLO violations (exported per pool).
+  enum Count : std::uint32_t {
+    kSyncs, kSyncAlls, kThresholdTrims, kSloViolations
+  };
+  obs::CounterSet counts_;
   // Registry handles resolved once at construction (null with telemetry
   // compiled out); the registry never deletes instruments.
   obs::Histogram* h_malloc_ns_ = nullptr;
   obs::Histogram* h_free_ns_ = nullptr;
-  obs::Counter* c_slo_violation_ = nullptr;
   std::atomic<std::uint64_t> rec_gen_{0};
   std::atomic<std::uint16_t> rec_id_{0};
 };

@@ -30,11 +30,9 @@ void StreamFrontEnd::free_async(void* p, gpu::Stream& s) {
     slot.pending_ += 1;
     overflow = slot.pending_ >= kStreamPendingCap;
   }
-  st_deferred_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("pool.stream.free_async");
+  counts_.inc(kDeferred);
   if (overflow) {
-    st_overflow_drains_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("pool.stream.overflow_drain");
+    counts_.inc(kOverflowDrains);
     drain(slot);
   }
 }
@@ -67,13 +65,7 @@ void* StreamFrontEnd::try_reuse(std::size_t effective, gpu::Stream& s) {
     }
     if (p != nullptr) slot->pending_ -= 1;
   }
-  if (p != nullptr) {
-    st_reuse_hits_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("pool.stream.reuse.hit");
-  } else {
-    st_reuse_misses_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("pool.stream.reuse.miss");
-  }
+  counts_.inc(p != nullptr ? kReuseHits : kReuseMisses);
   return p;
 }
 
@@ -105,8 +97,8 @@ std::size_t StreamFrontEnd::drain(StreamSlot& slot) {
     ++n;
   }
   if (n > 0) {
-    st_drained_.fetch_add(n, std::memory_order_relaxed);
-    st_drain_batches_.fetch_add(1, std::memory_order_relaxed);
+    counts_.add(kDrained, n);
+    counts_.inc(kDrainBatches);
     TOMA_HIST("pool.stream.drain_batch", n);
     TOMA_HIST("pool.stream.drain_ns", TOMA_NOW_NS() - t0);
   }
@@ -154,12 +146,12 @@ std::size_t StreamFrontEnd::release_stream(gpu::Stream& s) {
 
 StreamFrontEndStats StreamFrontEnd::stats() const {
   StreamFrontEndStats st;
-  st.deferred = st_deferred_.load(std::memory_order_relaxed);
-  st.reuse_hits = st_reuse_hits_.load(std::memory_order_relaxed);
-  st.reuse_misses = st_reuse_misses_.load(std::memory_order_relaxed);
-  st.drained = st_drained_.load(std::memory_order_relaxed);
-  st.drain_batches = st_drain_batches_.load(std::memory_order_relaxed);
-  st.overflow_drains = st_overflow_drains_.load(std::memory_order_relaxed);
+  st.deferred = counts_.value(kDeferred);
+  st.reuse_hits = counts_.value(kReuseHits);
+  st.reuse_misses = counts_.value(kReuseMisses);
+  st.drained = counts_.value(kDrained);
+  st.drain_batches = counts_.value(kDrainBatches);
+  st.overflow_drains = counts_.value(kOverflowDrains);
   st.pending = st.deferred - st.drained - st.reuse_hits;
   return st;
 }

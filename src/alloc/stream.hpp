@@ -32,6 +32,7 @@
 
 #include "alloc/config.hpp"
 #include "gpusim/stream.hpp"
+#include "obs/counter.hpp"
 #include "sync/spin_mutex.hpp"
 
 namespace toma::alloc {
@@ -95,13 +96,6 @@ class StreamFrontEnd {
   /// Drain `s` and forget its slot (stream destruction).
   std::size_t release_stream(gpu::Stream& s);
 
-  /// Deferred frees right now, across all streams.
-  std::size_t pending() const {
-    return st_deferred_.load(std::memory_order_relaxed) -
-           st_drained_.load(std::memory_order_relaxed) -
-           st_reuse_hits_.load(std::memory_order_relaxed);
-  }
-
   StreamFrontEndStats stats() const;
 
  private:
@@ -113,12 +107,15 @@ class StreamFrontEnd {
   mutable sync::SpinMutex map_mu_;
   std::unordered_map<std::uint32_t, std::unique_ptr<StreamSlot>> slots_;
 
-  std::atomic<std::uint64_t> st_deferred_{0};
-  std::atomic<std::uint64_t> st_reuse_hits_{0};
-  std::atomic<std::uint64_t> st_reuse_misses_{0};
-  std::atomic<std::uint64_t> st_drained_{0};
-  std::atomic<std::uint64_t> st_drain_batches_{0};
-  std::atomic<std::uint64_t> st_overflow_drains_{0};
+  // StreamFrontEndStats counts, each bumped once; the named ones export
+  // under those registry names ("" = stats() only).
+  enum Count : std::uint32_t {
+    kDeferred, kReuseHits, kReuseMisses, kDrained, kDrainBatches,
+    kOverflowDrains
+  };
+  obs::CounterSet counts_{{"pool.stream.free_async", "pool.stream.reuse.hit",
+                           "pool.stream.reuse.miss", "", "",
+                           "pool.stream.overflow_drain"}};
 };
 
 }  // namespace toma::alloc

@@ -18,7 +18,9 @@ constexpr std::uint8_t kNoAllocation = 0xFF;
 
 TBuddy::TBuddy(void* pool, std::size_t pool_bytes, std::size_t page_size,
                bool initially_empty)
-    : pool_(pool), pool_bytes_(pool_bytes), page_size_(page_size) {
+    : pool_(pool),
+      pool_bytes_(pool_bytes),
+      page_size_(page_size) {
   TOMA_ASSERT(pool != nullptr);
   TOMA_ASSERT(util::is_pow2(page_size));
   TOMA_ASSERT(util::is_pow2(pool_bytes));
@@ -239,17 +241,13 @@ bool TBuddy::claim_candidate(std::uint32_t i) {
     if (b.compare_exchange_strong(expected, kBusy,
                                   std::memory_order_acq_rel,
                                   std::memory_order_relaxed)) {
-      st_cas_claims_.fetch_add(1, std::memory_order_relaxed);
-      TOMA_CTR_INC("tbuddy.claim.cas_fast");
+      counts_.inc(kCasClaims);
       if (i > 1) fixup_from(parent_of(i));
       return true;
     }
   }
   const bool ok = try_claim(i);
-  if (ok) {
-    st_lock_claims_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("tbuddy.claim.lock_slow");
-  }
+  if (ok) counts_.inc(kLockClaims);
   return ok;
 }
 
@@ -261,8 +259,7 @@ std::uint32_t TBuddy::find_and_claim(std::uint32_t order) {
     std::uint32_t h = max_order_;
     if (h == order) {
       if (claim_candidate(1)) return 1;
-      st_retries_.fetch_add(1, std::memory_order_relaxed);
-      TOMA_CTR_INC("tbuddy.descent_retry");
+      counts_.inc(kRetries);
       bo.pause();
       continue;
     }
@@ -291,8 +288,7 @@ std::uint32_t TBuddy::find_and_claim(std::uint32_t order) {
       }
       if (!descended) dead_end = true;
     }
-    st_retries_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("tbuddy.descent_retry");
+    counts_.inc(kRetries);
     bo.pause();
   }
 }
@@ -309,16 +305,14 @@ void TBuddy::record_allocation(void* p, std::uint32_t order) {
 void* TBuddy::quicklist_pop(std::uint32_t order) {
   const std::uint32_t node = quicklists_[order].try_pop(ql_links_.get());
   if (node == sync::TreiberStack::kNil) {
-    st_ql_misses_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("tbuddy.quicklist.miss");
+    counts_.inc(kQlMisses);
     return nullptr;
   }
   // The node stayed Busy (and its semaphore unit consumed) the whole time
   // it was cached, so handing it out is pure bookkeeping: no semaphore,
   // no descent, no locks.
-  st_ql_hits_.fetch_add(1, std::memory_order_relaxed);
-  st_allocs_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("tbuddy.quicklist.hit");
+  counts_.inc(kQlHits);
+  counts_.inc(kAllocs);
   void* p = node_addr(node);
   record_allocation(p, order);
   return p;
@@ -326,7 +320,7 @@ void* TBuddy::quicklist_pop(std::uint32_t order) {
 
 void* TBuddy::allocate(std::uint32_t order) {
   if (order > max_order_) {
-    st_failed_.fetch_add(1, std::memory_order_relaxed);
+    counts_.inc(kFailed);
     return nullptr;
   }
   if (quicklist_enabled()) {
@@ -342,7 +336,7 @@ void* TBuddy::allocate(std::uint32_t order) {
     // level first; by the time the failure propagates here the lists are
     // usually already drained and this loop exits on its first retry.)
     if (flush_quicklists() == 0) {
-      st_failed_.fetch_add(1, std::memory_order_relaxed);
+      counts_.inc(kFailed);
       return nullptr;
     }
     TOMA_CTR_INC("tbuddy.quicklist.pressure_flush");
@@ -361,7 +355,7 @@ void* TBuddy::allocate_from_tree(std::uint32_t order) {
   if (res == sync::BulkSemaphore::WaitResult::kAcquired) {
     TOMA_CTRV_INC("tbuddy.sem_acquired", 24, order);
     const std::uint32_t node = find_and_claim(order);
-    st_allocs_.fetch_add(1, std::memory_order_relaxed);
+    counts_.inc(kAllocs);
     void* p = node_addr(node);
     record_allocation(p, order);
     return p;
@@ -418,9 +412,8 @@ void* TBuddy::allocate_from_tree(std::uint32_t order) {
   }
   // pnode went (owned) Busy -> Partial: recompute its ancestors.
   if (pnode > 1) fixup_from(parent_of(pnode));
-  st_splits_.fetch_add(1, std::memory_order_relaxed);
-  st_allocs_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("tbuddy.split");
+  counts_.inc(kSplits);
+  counts_.inc(kAllocs);
 
   void* p = node_addr(keep);
   const std::size_t page =
@@ -451,7 +444,7 @@ void TBuddy::free(void* p) {
                   "%zu, pool %p) has no live allocation recorded",
                   p, page, pool_bytes_ / page_size_, pool_);
   rec.store(kNoAllocation, std::memory_order_release);
-  st_frees_.fetch_add(1, std::memory_order_relaxed);
+  counts_.inc(kFrees);
   const std::uint32_t node = node_at(p, order);
   if (quicklist_enabled() && quicklists_[order].capacity() != 0) {
     // Deferred coalescing: park the block instead of cascading merges.
@@ -460,8 +453,7 @@ void TBuddy::free(void* p) {
     if (quicklists_[order].try_push(ql_links_.get(), node)) return;
     // High-water overflow: flush down to the low-water mark so this
     // crossing buys cap/2 further O(1) frees before the next flush.
-    st_ql_spills_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("tbuddy.quicklist.spill");
+    counts_.inc(kQlSpills);
     flush_quicklist(order,
                     quicklist_low_water(quicklists_[order].capacity()));
   }
@@ -477,10 +469,7 @@ std::size_t TBuddy::flush_quicklist(std::uint32_t order,
     free_block(node, order);
     ++flushed;
   }
-  if (flushed != 0) {
-    st_ql_flushes_.fetch_add(flushed, std::memory_order_relaxed);
-    TOMA_CTR_ADD("tbuddy.quicklist.flush", flushed);
-  }
+  if (flushed != 0) counts_.add(kQlFlushes, flushed);
   return flushed;
 }
 
@@ -605,8 +594,7 @@ void TBuddy::free_block(std::uint32_t i, std::uint32_t order) {
       if (gp != 0) unlock_node(gp);
       if (gp != 0) fixup_from(gp);
     }
-    st_merges_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("tbuddy.merge");
+    counts_.inc(kMerges);
     i = p;
     ++order;
   }
@@ -634,21 +622,21 @@ std::size_t TBuddy::largest_free_block() const {
 
 TBuddyStats TBuddy::stats() const {
   TBuddyStats s;
-  s.allocs = st_allocs_.load(std::memory_order_relaxed);
-  s.frees = st_frees_.load(std::memory_order_relaxed);
-  s.splits = st_splits_.load(std::memory_order_relaxed);
-  s.merges = st_merges_.load(std::memory_order_relaxed);
-  s.failed_allocs = st_failed_.load(std::memory_order_relaxed);
-  s.descent_retries = st_retries_.load(std::memory_order_relaxed);
-  s.quicklist_hits = st_ql_hits_.load(std::memory_order_relaxed);
-  s.quicklist_misses = st_ql_misses_.load(std::memory_order_relaxed);
-  s.quicklist_spills = st_ql_spills_.load(std::memory_order_relaxed);
-  s.quicklist_flushes = st_ql_flushes_.load(std::memory_order_relaxed);
+  s.allocs = counts_.value(kAllocs);
+  s.frees = counts_.value(kFrees);
+  s.splits = counts_.value(kSplits);
+  s.merges = counts_.value(kMerges);
+  s.failed_allocs = counts_.value(kFailed);
+  s.descent_retries = counts_.value(kRetries);
+  s.quicklist_hits = counts_.value(kQlHits);
+  s.quicklist_misses = counts_.value(kQlMisses);
+  s.quicklist_spills = counts_.value(kQlSpills);
+  s.quicklist_flushes = counts_.value(kQlFlushes);
   for (std::uint32_t h = 0; h <= max_order_; ++h) {
     s.quicklist_cached += quicklists_[h].count();
   }
-  s.cas_claims = st_cas_claims_.load(std::memory_order_relaxed);
-  s.lock_claims = st_lock_claims_.load(std::memory_order_relaxed);
+  s.cas_claims = counts_.value(kCasClaims);
+  s.lock_claims = counts_.value(kLockClaims);
   return s;
 }
 

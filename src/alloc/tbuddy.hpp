@@ -61,6 +61,7 @@
 #include <vector>
 
 #include "alloc/config.hpp"
+#include "obs/counter.hpp"
 #include "sync/bulk_semaphore.hpp"
 #include "sync/treiber_stack.hpp"
 #include "util/assert.hpp"
@@ -302,18 +303,17 @@ class TBuddy {
   std::unique_ptr<sync::TreiberStack[]> quicklists_;   // [max_order_ + 1]
   std::unique_ptr<std::atomic<std::uint32_t>[]> ql_links_;  // [node_count()]
 
-  mutable std::atomic<std::uint64_t> st_allocs_{0};
-  mutable std::atomic<std::uint64_t> st_frees_{0};
-  mutable std::atomic<std::uint64_t> st_splits_{0};
-  mutable std::atomic<std::uint64_t> st_merges_{0};
-  mutable std::atomic<std::uint64_t> st_failed_{0};
-  mutable std::atomic<std::uint64_t> st_retries_{0};
-  mutable std::atomic<std::uint64_t> st_ql_hits_{0};
-  mutable std::atomic<std::uint64_t> st_ql_misses_{0};
-  mutable std::atomic<std::uint64_t> st_ql_spills_{0};
-  mutable std::atomic<std::uint64_t> st_ql_flushes_{0};
-  mutable std::atomic<std::uint64_t> st_cas_claims_{0};
-  mutable std::atomic<std::uint64_t> st_lock_claims_{0};
+  // TBuddyStats counts, each bumped once; the named ones export under
+  // those registry names ("" = stats() only).
+  enum Count : std::uint32_t {
+    kAllocs, kFrees, kSplits, kMerges, kFailed, kRetries, kQlHits, kQlMisses,
+    kQlSpills, kQlFlushes, kCasClaims, kLockClaims
+  };
+  obs::CounterSet counts_{{"", "", "tbuddy.split", "tbuddy.merge", "",
+                           "tbuddy.descent_retry", "tbuddy.quicklist.hit",
+                           "tbuddy.quicklist.miss", "tbuddy.quicklist.spill",
+                           "tbuddy.quicklist.flush", "tbuddy.claim.cas_fast",
+                           "tbuddy.claim.lock_slow"}};
 };
 
 }  // namespace toma::alloc

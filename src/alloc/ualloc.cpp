@@ -96,7 +96,7 @@ std::uint32_t Arena::allocate_batch(std::uint32_t cls, void** out,
   for (std::uint32_t i = 0; i < n; ++i) {
     out[i] = parent_->block_addr(bin, i);
   }
-  parent_->st_allocs_.fetch_add(n, std::memory_order_relaxed);
+  parent_->counts_.add(UAlloc::kAllocs, n);
   return n;
 }
 
@@ -135,7 +135,7 @@ void* Arena::allocate_coalesced(std::uint32_t cls, gpu::ThreadCtx& ctx) {
       // go to threads instead of stranding behind warp-sized demands.
       return allocate_individual(cls);
     }
-    parent_->st_allocs_.fetch_add(1, std::memory_order_relaxed);
+    parent_->counts_.inc(UAlloc::kAllocs);
     gpu::warp_broadcast(ctx, g, reinterpret_cast<std::uint64_t>(bin));
     return parent_->block_addr(bin, 0);
   }
@@ -144,7 +144,7 @@ void* Arena::allocate_coalesced(std::uint32_t cls, gpu::ThreadCtx& ctx) {
   if (v == kFailed) return allocate_individual(cls);  // frontier fallback
   if (v == kClaim) return claim_block(cls);
   auto* bin = reinterpret_cast<BinHeader*>(v);
-  parent_->st_allocs_.fetch_add(1, std::memory_order_relaxed);
+  parent_->counts_.inc(UAlloc::kAllocs);
   return parent_->block_addr(bin, g.rank());
 }
 
@@ -187,11 +187,10 @@ void* Arena::claim_block(std::uint32_t cls) {
       // Outside the read-side critical section: a grace period may be
       // needed to unlink the bin we exhausted.
       if (exhausted != nullptr) ua.maybe_unlink_exhausted(exhausted);
-      ua.st_allocs_.fetch_add(1, std::memory_order_relaxed);
+      ua.counts_.inc(UAlloc::kAllocs);
       return result;
     }
-    ua.st_list_retries_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("ualloc.list_retry");
+    ua.counts_.inc(UAlloc::kListRetries);
     bo.pause();
   }
 }
@@ -236,18 +235,17 @@ void Arena::claim_blocks(std::uint32_t cls, std::uint32_t n, void** out) {
     }
     for (BinHeader* bin : exhausted) ua.maybe_unlink_exhausted(bin);
     if (got < n && got == got_before) {
-      ua.st_list_retries_.fetch_add(1, std::memory_order_relaxed);
-      TOMA_CTR_INC("ualloc.list_retry");
+      ua.counts_.inc(UAlloc::kListRetries);
       bo.pause();
     }
   }
-  ua.st_allocs_.fetch_add(n, std::memory_order_relaxed);
+  ua.counts_.add(UAlloc::kAllocs, n);
 }
 
 void* Arena::grow_bin(std::uint32_t cls) {
   BinHeader* bin = create_bin(cls, /*pre_claimed=*/1);
   if (bin == nullptr) return nullptr;
-  parent_->st_allocs_.fetch_add(1, std::memory_order_relaxed);
+  parent_->counts_.inc(UAlloc::kAllocs);
   return parent_->block_addr(bin, 0);
 }
 
@@ -299,8 +297,7 @@ BinHeader* Arena::create_bin(std::uint32_t cls, std::uint32_t pre_claimed) {
 
   cs.blocks.signal(bin->capacity - pre_claimed,
                    bin->capacity - pre_claimed);
-  ua.st_bins_created_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("ualloc.bin_create");
+  ua.counts_.inc(UAlloc::kBinsCreated);
   ua.drain_parked(bin);  // pick up frees that raced the insertion
   return bin;
 }
@@ -366,10 +363,8 @@ void* Arena::claim_bin_slot() {
     list_splice_mu_.unlock();
   }
   bin_slots_.signal(kDataBins - 1, kDataBins - 1);
-  ua.st_chunks_created_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("ualloc.chunk_fetch");
-  TOMA_TRACE("ualloc.chunk_fetch", ua.st_chunks_created_.load(
-                                       std::memory_order_relaxed));
+  ua.counts_.inc(UAlloc::kChunksCreated);
+  TOMA_TRACE("ualloc.chunk_fetch", ua.counts_.value(UAlloc::kChunksCreated));
   return static_cast<char*>(mem) + kHeaderBins * kBinSize;
 }
 
@@ -414,8 +409,7 @@ void* UAlloc::allocate_from(std::uint32_t home_arena, std::size_t size) {
         (home_arena + off) % static_cast<std::uint32_t>(arenas_.size());
     p = arenas_[a]->allocate(cls);
     if (p != nullptr) {
-      st_arena_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      TOMA_CTR_INC("ualloc.arena_fallback");
+      counts_.inc(kArenaFallbacks);
       return p;
     }
   }
@@ -437,8 +431,7 @@ std::uint32_t UAlloc::allocate_batch(std::uint32_t home_arena,
         (home_arena + off) % static_cast<std::uint32_t>(arenas_.size());
     got = arenas_[a]->allocate_batch(cls, out, want);
     if (got != 0) {
-      st_arena_fallbacks_.fetch_add(1, std::memory_order_relaxed);
-      TOMA_CTR_INC("ualloc.arena_fallback");
+      counts_.inc(kArenaFallbacks);
       return got;
     }
   }
@@ -515,8 +508,7 @@ void UAlloc::drain_parked(BinHeader* bin) {
       bin->cold_lock.lock();
       bin->state.store(BinState::kListed, std::memory_order_release);
       bin->cold_lock.unlock();
-      st_bin_relists_.fetch_add(1, std::memory_order_relaxed);
-      TOMA_CTR_INC("ualloc.bin_relist");
+      counts_.inc(kBinRelists);
       continue;  // now drain the parked units into the semaphore
     }
 
@@ -545,8 +537,7 @@ void UAlloc::maybe_unlink_exhausted(BinHeader* bin) {
   cs.bins.unlink_locked(&bin->list_node);
   cs.bins.writer_unlock();
   cs.listed.fetch_sub(1, std::memory_order_acq_rel);
-  st_bin_unlinks_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("ualloc.bin_unlink");
+  counts_.inc(kBinUnlinks);
 
   // Deferred completion: the bin may be re-linked only after every reader
   // that might still be traversing it has exited. Delegated to an
@@ -628,8 +619,7 @@ void UAlloc::finish_retire(BinHeader* bin) {
   TOMA_DASSERT(bin->state.load(std::memory_order_relaxed) ==
                BinState::kRetiring);
   TOMA_DASSERT(bin->parked.load(std::memory_order_relaxed) == 0);
-  st_bins_retired_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("ualloc.bin_retire");
+  counts_.inc(kBinsRetired);
   release_bin_slot(bin);
 }
 
@@ -674,17 +664,14 @@ void UAlloc::maybe_retire_chunk(ChunkHeader* chunk) {
     arena->chunks_.erase(chunk);
     arena->list_splice_mu_.unlock();
   }
-  st_chunks_retired_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("ualloc.chunk_retire");
-  TOMA_TRACE("ualloc.chunk_retire",
-             st_chunks_retired_.load(std::memory_order_relaxed));
+  counts_.inc(kChunksRetired);
+  TOMA_TRACE("ualloc.chunk_retire", counts_.value(kChunksRetired));
   chunk->~ChunkHeader();
   buddy_->free(chunk);
 }
 
 std::size_t UAlloc::trim() {
-  const std::uint64_t chunks_before =
-      st_chunks_retired_.load(std::memory_order_relaxed);
+  const std::uint64_t chunks_before = counts_.value(kChunksRetired);
   for (auto& arena : arenas_) {
     // Flush any deferred reclamations still queued in the domain.
     arena->rcu_.synchronize();
@@ -739,7 +726,7 @@ std::size_t UAlloc::trim() {
     for (ChunkHeader* ch : candidates) maybe_retire_chunk(ch);
   }
   return static_cast<std::size_t>(
-      st_chunks_retired_.load(std::memory_order_relaxed) - chunks_before);
+      counts_.value(kChunksRetired) - chunks_before);
 }
 
 std::vector<UAlloc::BinOccupancy> UAlloc::snapshot_bins() {
@@ -869,16 +856,16 @@ BinHeader* UAlloc::decode(void* p, std::uint32_t* block_idx) const {
 
 UAllocStats UAlloc::stats() const {
   UAllocStats s;
-  s.allocs = st_allocs_.load(std::memory_order_relaxed);
-  s.frees = st_frees_.load(std::memory_order_relaxed);
-  s.bins_created = st_bins_created_.load(std::memory_order_relaxed);
-  s.bins_retired = st_bins_retired_.load(std::memory_order_relaxed);
-  s.chunks_created = st_chunks_created_.load(std::memory_order_relaxed);
-  s.chunks_retired = st_chunks_retired_.load(std::memory_order_relaxed);
-  s.bin_unlinks = st_bin_unlinks_.load(std::memory_order_relaxed);
-  s.bin_relists = st_bin_relists_.load(std::memory_order_relaxed);
-  s.list_retries = st_list_retries_.load(std::memory_order_relaxed);
-  s.arena_fallbacks = st_arena_fallbacks_.load(std::memory_order_relaxed);
+  s.allocs = counts_.value(kAllocs);
+  s.frees = counts_.value(kFrees);
+  s.bins_created = counts_.value(kBinsCreated);
+  s.bins_retired = counts_.value(kBinsRetired);
+  s.chunks_created = counts_.value(kChunksCreated);
+  s.chunks_retired = counts_.value(kChunksRetired);
+  s.bin_unlinks = counts_.value(kBinUnlinks);
+  s.bin_relists = counts_.value(kBinRelists);
+  s.list_retries = counts_.value(kListRetries);
+  s.arena_fallbacks = counts_.value(kArenaFallbacks);
   return s;
 }
 

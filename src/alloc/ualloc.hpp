@@ -58,6 +58,7 @@
 #include "alloc/config.hpp"
 #include "alloc/tbuddy.hpp"
 #include "gpusim/warp.hpp"
+#include "obs/counter.hpp"
 #include "sync/bulk_semaphore.hpp"
 #include "sync/collective_mutex.hpp"
 #include "sync/rcu.hpp"
@@ -264,7 +265,7 @@ class UAlloc {
   /// defrag's free: a migrating bin must drain toward empty, so its
   /// blocks bypass the lane and publish here directly.
   void free_decoded(BinHeader* bin, std::uint32_t idx) {
-    st_frees_.fetch_add(1, std::memory_order_relaxed);
+    counts_.inc(kFrees);
     free_slow(bin, idx);
   }
 
@@ -397,16 +398,16 @@ class UAlloc {
   std::atomic<std::uintptr_t> evac_hi_{0};
   std::vector<std::unique_ptr<Arena>> arenas_;
 
-  mutable std::atomic<std::uint64_t> st_allocs_{0};
-  mutable std::atomic<std::uint64_t> st_frees_{0};
-  mutable std::atomic<std::uint64_t> st_bins_created_{0};
-  mutable std::atomic<std::uint64_t> st_bins_retired_{0};
-  mutable std::atomic<std::uint64_t> st_chunks_created_{0};
-  mutable std::atomic<std::uint64_t> st_chunks_retired_{0};
-  mutable std::atomic<std::uint64_t> st_bin_unlinks_{0};
-  mutable std::atomic<std::uint64_t> st_bin_relists_{0};
-  mutable std::atomic<std::uint64_t> st_list_retries_{0};
-  mutable std::atomic<std::uint64_t> st_arena_fallbacks_{0};
+  // UAllocStats counts, each bumped once; the named ones export under
+  // those registry names ("" = stats() only).
+  enum Count : std::uint32_t {
+    kAllocs, kFrees, kBinsCreated, kBinsRetired, kChunksCreated,
+    kChunksRetired, kBinUnlinks, kBinRelists, kListRetries, kArenaFallbacks
+  };
+  obs::CounterSet counts_{{"", "", "ualloc.bin_create", "ualloc.bin_retire",
+                           "ualloc.chunk_fetch", "ualloc.chunk_retire",
+                           "ualloc.bin_unlink", "ualloc.bin_relist",
+                           "ualloc.list_retry", "ualloc.arena_fallback"}};
 };
 
 }  // namespace toma::alloc

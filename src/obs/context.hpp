@@ -15,8 +15,10 @@
 
 namespace toma::obs {
 
-/// Counter shards. Fixed so handles need no device knowledge; SM ids map
-/// onto shards modulo kShards (64 covers every simulated device in-tree).
+/// SM-routed shards (epoch pins, trace rings; the counters and histograms
+/// shard by OS thread instead, obs/shard.hpp). Fixed so handles need no
+/// device knowledge; SM ids map onto shards modulo kShards (64 covers
+/// every simulated device in-tree).
 inline constexpr std::uint32_t kShards = 64;
 
 namespace detail {
@@ -89,5 +91,14 @@ inline std::uint64_t now_ns() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+/// Start and end (now_ns) of one timed operation, handed from the layer
+/// that timed it to a front-end reporting the same interval, so one
+/// operation reads the clock once at each end.
+struct OpSpan {
+  std::uint64_t t0 = 0;
+  std::uint64_t t1 = 0;
+  std::uint64_t ns() const { return t1 - t0; }
+};
 
 }  // namespace toma::obs

@@ -2,8 +2,12 @@
 //
 // Bucket b == 0 holds the value 0; bucket b >= 1 holds values in
 // [2^(b-1), 2^b). 48 buckets cover values up to 2^47 (~1.6 days in ns).
-// Layout is shard-major — each shard owns a contiguous bucket array — so
-// a recording thread only writes cache lines of its own SM's shard.
+// Layout is shard-major — each shard owns a contiguous bucket array — and
+// shards are owned by OS thread (obs/shard.hpp): a recording thread
+// writes only lines of its own shard, with plain loads and stores. A
+// shard is allocated the first time a thread of its slot records, so a
+// histogram costs memory for the slots that record into it, not for all
+// kThreadShards.
 //
 // Quantiles are extracted from the aggregated bucket counts with linear
 // interpolation inside the winning bucket: exact enough for p50/p95/p99
@@ -19,18 +23,13 @@
 #include <vector>
 
 #include "obs/context.hpp"
+#include "obs/shard.hpp"
 #include "util/assert.hpp"
 #include "util/hints.hpp"
 
 namespace toma::obs {
 
 inline constexpr std::uint32_t kHistBuckets = 48;
-/// Histogram shards (fewer than counter shards: a shard is ~8 cache
-/// lines, and histogram records are rarer than counter bumps).
-inline constexpr std::uint32_t kHistShards = 16;
-
-static_assert((kHistShards & (kHistShards - 1)) == 0,
-              "shard index is masked, not modded");
 
 /// Bucket index for a value (see the bucket-bound convention above).
 constexpr std::uint32_t hist_bucket_of(std::uint64_t v) {
@@ -111,21 +110,38 @@ struct HistogramSnapshot {
 class Histogram {
  public:
   Histogram() = default;
+  ~Histogram() {
+    for (auto& p : shards_) delete p.load(std::memory_order_relaxed);
+  }
   Histogram(const Histogram&) = delete;
   Histogram& operator=(const Histogram&) = delete;
 
   void record(std::uint64_t v) {
-    Shard& s = shards_[current_shard() & (kHistShards - 1)];
-    s.buckets[hist_bucket_of(v)].fetch_add(1, std::memory_order_relaxed);
-    s.sum.fetch_add(v, std::memory_order_relaxed);
-    relax_min(s.min, v);
-    relax_max(s.max, v);
+    const std::uint32_t slot = thread_slot();
+    Shard* sp = shards_[slot].load(std::memory_order_acquire);
+    Shard& s = TOMA_LIKELY(sp != nullptr) ? *sp : install(slot);
+    shard_add(s.buckets[hist_bucket_of(v)], 1, slot);
+    shard_add(s.sum, v, slot);
+    if (slot != kOverflowSlot) {
+      if (v < s.min.load(std::memory_order_relaxed)) {
+        s.min.store(v, std::memory_order_relaxed);
+      }
+      if (v > s.max.load(std::memory_order_relaxed)) {
+        s.max.store(v, std::memory_order_relaxed);
+      }
+    } else {
+      relax_min(s.min, v);
+      relax_max(s.max, v);
+    }
   }
 
   HistogramSnapshot snapshot() const {
     HistogramSnapshot out;
     std::uint64_t mn = UINT64_MAX;
-    for (const Shard& s : shards_) {
+    for (const auto& p : shards_) {
+      const Shard* sp = p.load(std::memory_order_acquire);
+      if (sp == nullptr) continue;
+      const Shard& s = *sp;
       for (std::uint32_t b = 0; b < kHistBuckets; ++b) {
         const std::uint64_t n = s.buckets[b].load(std::memory_order_relaxed);
         out.buckets[b] += n;
@@ -149,6 +165,21 @@ class Histogram {
     std::atomic<std::uint64_t> max{0};
   };
 
+  // First record from a slot: publish a fresh shard. Only the overflow
+  // slot can race here (an owned slot has one live thread), and the
+  // loser of that race frees its copy.
+  TOMA_NOINLINE Shard& install(std::uint32_t slot) {
+    Shard* fresh = new Shard;
+    Shard* cur = nullptr;
+    if (shards_[slot].compare_exchange_strong(cur, fresh,
+                                              std::memory_order_acq_rel,
+                                              std::memory_order_acquire)) {
+      return *fresh;
+    }
+    delete fresh;
+    return *cur;
+  }
+
   static void relax_min(std::atomic<std::uint64_t>& slot, std::uint64_t v) {
     std::uint64_t cur = slot.load(std::memory_order_relaxed);
     while (v < cur && !slot.compare_exchange_weak(
@@ -164,7 +195,7 @@ class Histogram {
     }
   }
 
-  Shard shards_[kHistShards];
+  std::atomic<Shard*> shards_[kThreadShards] = {};
 };
 
 /// RAII scope timer recording elapsed wall-clock ns into a histogram.

@@ -1,9 +1,11 @@
 #include "obs/registry.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
 #include "util/assert.hpp"
+#include "obs/telemetry.hpp"
 #include "util/stats.hpp"
 
 namespace toma::obs {
@@ -67,11 +69,30 @@ HistogramVec& Registry::histogram_vec(const std::string& name,
   return *slot;
 }
 
+void Registry::attach(const CounterSet& set) {
+  std::lock_guard<std::mutex> g(mu_);
+  sets_.push_back(&set);
+}
+
+void Registry::detach(const CounterSet& set) {
+  std::lock_guard<std::mutex> g(mu_);
+  sets_.erase(std::find(sets_.begin(), sets_.end(), &set));
+  for (std::uint32_t i = 0; i < set.size(); ++i) {
+    if (!set.name(i).empty()) retired_[set.name(i)] += set.value(i);
+  }
+}
+
 Snapshot Registry::snapshot() const {
   std::lock_guard<std::mutex> g(mu_);
   Snapshot s;
   for (const auto& [name, c] : counters_) {
     s.counters[name] = c->value();
+  }
+  for (const auto& [name, v] : retired_) s.counters[name] += v;
+  for (const CounterSet* set : sets_) {
+    for (std::uint32_t i = 0; i < set->size(); ++i) {
+      if (!set->name(i).empty()) s.counters[set->name(i)] += set->value(i);
+    }
   }
   for (const auto& [name, cv] : counter_vecs_) {
     for (std::uint32_t i = 0; i < cv->width(); ++i) {
@@ -87,6 +108,36 @@ Snapshot Registry::snapshot() const {
     }
   }
   return s;
+}
+
+// ---------------------------------------------------------------------------
+// CounterSet
+// ---------------------------------------------------------------------------
+
+CounterSet::CounterSet(std::vector<std::string> names)
+    : names_(std::move(names)),
+      lines_per_shard_(static_cast<std::uint32_t>(
+          (names_.size() + kPerLine - 1) / kPerLine)),
+      lines_(std::make_unique<Line[]>(std::size_t{kShards} *
+                                      lines_per_shard_)) {
+  TOMA_ASSERT(!names_.empty());
+#if TOMA_TELEMETRY
+  registry().attach(*this);
+#endif
+}
+
+CounterSet::~CounterSet() {
+#if TOMA_TELEMETRY
+  registry().detach(*this);
+#endif
+}
+
+std::uint64_t CounterSet::value(std::uint32_t i) const {
+  std::uint64_t total = 0;
+  for (std::uint32_t s = 0; s < kShards; ++s) {
+    total += cell(s, i).load(std::memory_order_relaxed);
+  }
+  return total;
 }
 
 Registry& registry() {

@@ -13,6 +13,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <vector>
 
 #include "obs/counter.hpp"
 #include "obs/histogram.hpp"
@@ -67,10 +68,19 @@ class Registry {
   Histogram& histogram(const std::string& name);
   HistogramVec& histogram_vec(const std::string& name, std::uint32_t width);
 
+  /// Export a CounterSet's named counts until detach(); CounterSet's
+  /// constructor and destructor call these when telemetry is compiled in.
+  void attach(const CounterSet& set);
+  /// Stop exporting `set`, folding its final counts into the retired
+  /// totals so exported values stay cumulative across instance lifetimes.
+  void detach(const CounterSet& set);
+
   Snapshot snapshot() const;
 
  private:
   mutable std::mutex mu_;
+  std::vector<const CounterSet*> sets_;
+  std::map<std::string, std::uint64_t> retired_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
   std::map<std::string, std::unique_ptr<CounterVec>> counter_vecs_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;

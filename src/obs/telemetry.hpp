@@ -2,12 +2,15 @@
 //
 // Design rules (docs/OBSERVABILITY.md):
 //
-//   * Counters are cache-line sharded (one shard per simulated SM,
-//     aggregated on read) so instrumentation does not perturb the
-//     contention it measures.
+//   * Counters and histograms are cache-line sharded by OS thread
+//     (obs/shard.hpp, aggregated on read) so instrumentation does not
+//     perturb the contention it measures.
 //   * Every macro resolves its registry handle once per call site via a
 //     function-local static, so the steady-state cost of a counter bump is
-//     one relaxed fetch_add on a shard this SM's worker thread owns.
+//     a relaxed load + store on a shard only the calling thread writes.
+//   * A component's own stats() counts live in an obs::CounterSet, which
+//     also exports them: an event is counted once, never also through a
+//     TOMA_CTR_* macro.
 //   * With -DTOMA_TELEMETRY=0 every macro expands to a no-op that does not
 //     evaluate its arguments; the obs *classes* still compile (and tests
 //     exercise them) but no instrumented hot path touches them.

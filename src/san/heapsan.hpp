@@ -35,6 +35,7 @@
 #include <functional>
 #include <unordered_map>
 
+#include "obs/counter.hpp"
 #include "san/report.hpp"
 #include "sync/spin_mutex.hpp"
 
@@ -211,11 +212,14 @@ class HeapSan {
   std::atomic<std::uint64_t> live_bytes_{0};
   std::atomic<std::uint64_t> q_blocks_{0};
   std::atomic<std::uint64_t> q_bytes_{0};
-  std::atomic<std::uint64_t> st_pushes_{0};
-  std::atomic<std::uint64_t> st_evictions_{0};
-  std::atomic<std::uint64_t> st_flushes_{0};
-  std::atomic<std::uint64_t> st_redzone_checks_{0};
-  std::atomic<std::uint64_t> st_poison_checks_{0};
+  // HeapSanStats counts, each bumped once, exported under these names.
+  enum Count : std::uint32_t {
+    kPushes, kEvictions, kFlushes, kRedzoneChecks, kPoisonChecks
+  };
+  mutable obs::CounterSet counts_{{"san.quarantine.push",
+                                   "san.quarantine.evict",
+                                   "san.quarantine.flush", "san.redzone_check",
+                                   "san.poison_check"}};
   std::atomic<std::uint64_t> alloc_seq_{0};
 };
 

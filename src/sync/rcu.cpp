@@ -47,8 +47,7 @@ void SrcuDomain::synchronize() {
   TOMA_HIST("sync.rcu.grace_ns", TOMA_NOW_NS() - t0);
   writer_mu_.unlock();
 
-  full_barriers_.fetch_add(1, std::memory_order_relaxed);
-  TOMA_CTR_INC("sync.rcu.full_barrier");
+  counts_.inc(kFull);
   run_callbacks(adopted);
 }
 
@@ -60,8 +59,7 @@ void SrcuDomain::barrier_conditional(RcuCallback* cb) {
   // adopt our callback and its grace period covers our logical removal.
   call(cb);
   if (pending_barriers_.load(std::memory_order_seq_cst) > 0) {
-    delegated_barriers_.fetch_add(1, std::memory_order_relaxed);
-    TOMA_CTR_INC("sync.rcu.delegated_barrier");
+    counts_.inc(kDelegated);
     return;
   }
   synchronize();

@@ -22,6 +22,7 @@
 #include <cstdint>
 
 #include "gpusim/this_thread.hpp"
+#include "obs/counter.hpp"
 #include "sync/backoff.hpp"
 #include "sync/spin_mutex.hpp"
 #include "util/hints.hpp"
@@ -92,11 +93,9 @@ class SrcuDomain {
   }
   /// Completed full barriers and delegated (skipped) barriers; used by the
   /// Figure 6 benchmark to report delegation rates.
-  std::uint64_t full_barriers() const {
-    return full_barriers_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t full_barriers() const { return counts_.value(kFull); }
   std::uint64_t delegated_barriers() const {
-    return delegated_barriers_.load(std::memory_order_relaxed);
+    return counts_.value(kDelegated);
   }
   /// Barriers currently between "issued" and "flipped" (test/diagnostic).
   std::uint32_t pending_barriers() const {
@@ -114,8 +113,9 @@ class SrcuDomain {
   std::atomic<std::uint32_t> pending_barriers_{0};
   // Treiber stack of callbacks awaiting the next grace period.
   TOMA_CACHELINE_ALIGNED std::atomic<RcuCallback*> queue_{nullptr};
-  std::atomic<std::uint64_t> full_barriers_{0};
-  std::atomic<std::uint64_t> delegated_barriers_{0};
+  enum Count : std::uint32_t { kFull, kDelegated };
+  obs::CounterSet counts_{
+      {"sync.rcu.full_barrier", "sync.rcu.delegated_barrier"}};
 };
 
 /// RAII read-side critical section.

@@ -25,6 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "obs/counter.hpp"
 #include "sync/spin_mutex.hpp"
 
 namespace toma::vmm {
@@ -211,8 +212,9 @@ class BackingStore {
   std::unique_ptr<std::atomic<std::uint8_t>[]> states_;
   ForwardTable fwd_;
   std::atomic<std::uint32_t> mapped_chunks_{0};
-  std::atomic<std::uint64_t> st_grows_{0};
-  std::atomic<std::uint64_t> st_shrinks_{0};
+  // BackingStats grows/shrinks, exported as vmm.grow / vmm.shrink.
+  enum Count : std::uint32_t { kGrows, kShrinks };
+  obs::CounterSet counts_{{"vmm.grow", "vmm.shrink"}};
 };
 
 }  // namespace toma::vmm

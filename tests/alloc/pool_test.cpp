@@ -224,6 +224,25 @@ TEST(Pool, SloTargetAndViolationAccounting) {
   EXPECT_EQ(pool.stats().slo_violations, frozen);
 }
 
+#if TOMA_TELEMETRY
+TEST(Pool, FreeOfNullptrIsNotTimed) {
+  // free(nullptr) is a no-op, as GpuAllocator::free and toma_free treat
+  // it: no latency sample and no SLO check, even against a 1 ns target.
+  HeapConfig cfg = small_cfg();
+  cfg.slo_latency_ns = 1;
+  Pool pool("free-null-test", cfg);
+  const obs::Histogram& h = obs::registry().histogram(
+      "pool.free_ns{pool=\"free-null-test\"}");
+  const std::uint64_t samples = h.snapshot().count;
+  for (int i = 0; i < 16; ++i) pool.free(nullptr);
+  EXPECT_EQ(h.snapshot().count, samples);
+  EXPECT_EQ(pool.stats().slo_violations, 0u);
+  void* p = pool.malloc(64);
+  pool.free(p);
+  EXPECT_EQ(h.snapshot().count, samples + 1);  // a real free is timed
+}
+#endif
+
 TEST(Pool, DtorUninstallsItsOwnDeviceHeap) {
   GpuAllocator* prev = set_device_heap(nullptr);
   {
