@@ -229,7 +229,9 @@ GpuAllocator::GrowOutcome GpuAllocator::grow_backing(std::uint64_t& epoch) {
   void* chunk = vmm_->map_next();
   if (chunk == nullptr) return GrowOutcome::kExhausted;
   buddy_->inject_block(chunk, vmm_chunk_order_);
-  grow_epoch_.store(cur + 1, std::memory_order_relaxed);
+  // Release: a thread whose epoch sample reads the new value also sees
+  // the injected block.
+  grow_epoch_.store(cur + 1, std::memory_order_release);
   epoch = cur + 1;
   return GrowOutcome::kGrew;
 }
@@ -266,6 +268,12 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status,
     if (status != nullptr) *status = AllocStatus::kQuota;
     return nullptr;
   }
+  // The growth epoch is sampled before the first attempt: a chunk another
+  // thread maps after this point but before our growth step must send us
+  // back to retry. Sampled after the attempt failed, such a chunk would
+  // read as already seen, map_next() would find nothing left to map, and
+  // the request would fail with the new chunk's pages still free.
+  std::uint64_t epoch = grow_epoch_.load(std::memory_order_acquire);
   void* p = route_alloc(rounded);
   if (p == nullptr && lane_->enabled()) {
     // Lane-resident blocks pin bins (and thus chunks) in other classes'
@@ -287,7 +295,6 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status,
     // after every cache-flush retry — new physical memory is the last
     // resort before declaring failure, and the epoch protocol makes a
     // grower that lost the race retry the allocation before mapping.
-    std::uint64_t epoch = grow_epoch_.load(std::memory_order_relaxed);
     for (;;) {
       const GrowOutcome out = grow_backing(epoch);
       if (out == GrowOutcome::kExhausted) break;
@@ -304,7 +311,7 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status,
   }
   const std::uint64_t t1 = TOMA_NOW_NS();
   TOMA_HISTV("alloc.malloc_ns", kSizeClassBuckets, size_class_index(rounded),
-             t1 - t0);
+             obs::elapsed_ns(t0, t1));
   if (span != nullptr) *span = {t0, t1};
   if (p == nullptr) {
     in_use_.fetch_sub(charge, std::memory_order_relaxed);
@@ -343,7 +350,7 @@ void GpuAllocator::free(void* p, obs::OpSpan* span) {
     free_base(p);
   }
   const std::uint64_t t1 = TOMA_NOW_NS();
-  TOMA_HIST("alloc.free_ns", t1 - t0);
+  TOMA_HIST("alloc.free_ns", obs::elapsed_ns(t0, t1));
   if (span != nullptr) *span = {t0, t1};
 }
 
@@ -581,10 +588,8 @@ std::size_t GpuAllocator::defrag(std::size_t max_moves) {
   // Release the parked destination blocks: the evacuated chunks they kept
   // alive empty out and retire in the trim below.
   for (const auto& [bin, idx] : pinned) ualloc_->free_decoded(bin, idx);
-  // Epilogue: the lanes give back the blocks migration parked there
-  // (vetoed destinations, refill surplus), emptied bins and chunks
-  // retire to the buddy and coalesce, and the freed chunks unmap back to
-  // the OS.
+  // Epilogue: emptied bins and chunks retire to the buddy and coalesce,
+  // and the freed chunks unmap back to the OS.
   trim();
   shrink_backing();
   if (moved != 0) counts_.add(kDefragMoves, moved);
@@ -648,12 +653,19 @@ GpuAllocator::MoveResult GpuAllocator::move_block(
       pinned_addrs.insert(addr);
     }
   };
+  // The sync pass takes destinations from UAlloc itself, never through
+  // the lane: a slab refill would claim a batch of slots that no host
+  // owns, its bitmap scan would "migrate" those lane-parked slots (the
+  // shim's prepare admits every move) and free their sources while the
+  // lane still holds them — a double free once the lane hands them out.
+  // The incremental path's two-phase prepare vetoes such blocks.
   void* dest;
   // Bounded: every rejected probe parks one free slot of an evacuating
   // chunk, so the allocator strictly runs down their free space and
   // eventually hands out a block outside `evac` (or nullptr).
   for (;;) {
-    dest = ualloc_alloc(cls_bytes);
+    dest = hold_source ? ualloc_alloc(cls_bytes)
+                       : ualloc_->allocate(cls_bytes);
     if (dest == nullptr) break;
     const std::uintptr_t dbase = static_cast<std::uintptr_t>(
         util::align_down(reinterpret_cast<std::uintptr_t>(dest),
@@ -684,10 +696,14 @@ GpuAllocator::MoveResult GpuAllocator::move_block(
   if (hooks_.prepare && !hooks_.prepare(old_user, new_user, user_bytes)) {
     // Vetoed: the host does not own this pointer live (a cache-parked
     // block, or one mid-operation). It stays put; the destination slot
-    // goes back to the lane it most likely came from.
+    // goes back where it was taken from.
     std::uint32_t didx;
     BinHeader* dbin = ualloc_->decode_block(dest, &didx);
-    ualloc_free(dest, dbin, didx);
+    if (hold_source) {
+      ualloc_free(dest, dbin, didx);
+    } else {
+      ualloc_->free_decoded(dbin, didx);
+    }
     TOMA_CTR_INC("vmm.defrag.vetoed");
     return MoveResult::kVetoed;
   }

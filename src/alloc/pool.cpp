@@ -180,12 +180,12 @@ void* Pool::calloc(std::size_t n, std::size_t size, AllocStatus* status) {
 }
 
 void* Pool::realloc(void* p, std::size_t size, AllocStatus* status) {
-  const std::uint64_t t0 = TOMA_NOW_NS();
+  [[maybe_unused]] const std::uint64_t t0 = TOMA_NOW_NS();
   const std::uint16_t rec =
       obs::recording_enabled() && (p != nullptr || size != 0) ? record_id() : 0;
   AllocStatus st = AllocStatus::kOk;
   void* q = alloc_.realloc(p, size, &st);
-  observe_latency(h_malloc_ns_, TOMA_NOW_NS() - t0);
+  observe_latency(h_malloc_ns_, TOMA_ELAPSED_NS(t0));
   if (obs::recording_enabled() && (p != nullptr || size != 0)) {
     obs::Recorder::instance().on_realloc(rec, p, q, size, outcome_of(st));
   }

@@ -100,7 +100,7 @@ std::size_t StreamFrontEnd::drain(StreamSlot& slot) {
     counts_.add(kDrained, n);
     counts_.inc(kDrainBatches);
     TOMA_HIST("pool.stream.drain_batch", n);
-    TOMA_HIST("pool.stream.drain_ns", TOMA_NOW_NS() - t0);
+    TOMA_HIST("pool.stream.drain_ns", TOMA_ELAPSED_NS(t0));
   }
   return n;
 }

@@ -349,9 +349,10 @@ void* TBuddy::allocate(std::uint32_t order) {
 void* TBuddy::allocate_from_tree(std::uint32_t order) {
   // Per-order semaphore outcome: kAcquired means a block of this order is
   // (or will be) claimable; kMustGrow makes us the splitter one order up.
-  [[maybe_unused]] const std::uint64_t wait_t0 = TOMA_NOW_NS();
-  const auto res = sems_[order]->wait(1, 2);
-  TOMA_HIST("tbuddy.sem_wait_ns", TOMA_NOW_NS() - wait_t0);
+  // The semaphore reads the clock only if it blocks.
+  std::uint64_t blocked_ns = 0;
+  const auto res = sems_[order]->wait(1, 2, &blocked_ns);
+  TOMA_HIST("tbuddy.sem_wait_ns", blocked_ns);
   if (res == sync::BulkSemaphore::WaitResult::kAcquired) {
     TOMA_CTRV_INC("tbuddy.sem_acquired", 24, order);
     const std::uint32_t node = find_and_claim(order);

@@ -202,7 +202,7 @@ class Histogram {
 class ScopedTimer {
  public:
   explicit ScopedTimer(Histogram& h) : h_(h), t0_(now_ns()) {}
-  ~ScopedTimer() { h_.record(now_ns() - t0_); }
+  ~ScopedTimer() { h_.record(elapsed_ns(t0_, now_ns())); }
   ScopedTimer(const ScopedTimer&) = delete;
   ScopedTimer& operator=(const ScopedTimer&) = delete;
 

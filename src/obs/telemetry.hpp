@@ -66,8 +66,10 @@
   } while (0)
 
 /// Wall-clock ns (0 when telemetry is compiled out, letting timing code
-/// fold away). Pair with TOMA_HIST(name, TOMA_NOW_NS() - t0).
+/// fold away). Pair with TOMA_HIST(name, TOMA_ELAPSED_NS(t0)).
 #define TOMA_NOW_NS() ::toma::obs::now_ns()
+/// ns since `t0` (a TOMA_NOW_NS() reading), saturating at 0.
+#define TOMA_ELAPSED_NS(t0) ::toma::obs::elapsed_ns(t0, ::toma::obs::now_ns())
 
 /// RAII: record the enclosing scope's duration (ns) into `name`.
 #define TOMA_SCOPED_TIMER(name)                                           \
@@ -98,6 +100,7 @@
 #define TOMA_HIST(name, value) ((void)0)
 #define TOMA_HISTV(name, width, idx, value) ((void)0)
 #define TOMA_NOW_NS() (std::uint64_t{0})
+#define TOMA_ELAPSED_NS(t0) (std::uint64_t{0})
 #define TOMA_SCOPED_TIMER(name) ((void)0)
 #define TOMA_TRACE(name, arg) ((void)0)
 #define TOMA_TRACE_BEGIN(name, id) ((void)0)

@@ -63,8 +63,13 @@ class BulkSemaphore {
   }
 
   /// Algorithm 1. Acquire `n` units with grow batch size `b` (b > n).
-  WaitResult wait(std::uint64_t n, std::uint64_t b) {
+  /// `blocked_ns`, if given, receives the time spent waiting for expected
+  /// units to land (0 when the call never blocked; always 0 with telemetry
+  /// compiled out) — read from the clock only on that blocking path.
+  WaitResult wait(std::uint64_t n, std::uint64_t b,
+                  std::uint64_t* blocked_ns = nullptr) {
     TOMA_DASSERT(n > 0 && b >= n);
+    if (blocked_ns != nullptr) *blocked_ns = 0;
     Backoff bo;
     std::uint64_t w = word_.load(std::memory_order_acquire);
     for (;;) {
@@ -108,7 +113,9 @@ class BulkSemaphore {
             bo.pause();
             w = word_.load(std::memory_order_acquire);
           }
-          TOMA_HIST("sync.bsem.wait_ns", TOMA_NOW_NS() - t0);
+          const std::uint64_t waited = TOMA_ELAPSED_NS(t0);
+          TOMA_HIST("sync.bsem.wait_ns", waited);
+          if (blocked_ns != nullptr) *blocked_ns += waited;
           // Drop the reservation and re-decide from scratch.
           w = word_.fetch_sub(pack(0, 0, n), std::memory_order_acq_rel) -
               pack(0, 0, n);

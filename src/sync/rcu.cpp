@@ -44,7 +44,7 @@ void SrcuDomain::synchronize() {
   while (readers_[old_idx].load(std::memory_order_acquire) != 0) {
     bo.pause();
   }
-  TOMA_HIST("sync.rcu.grace_ns", TOMA_NOW_NS() - t0);
+  TOMA_HIST("sync.rcu.grace_ns", TOMA_ELAPSED_NS(t0));
   writer_mu_.unlock();
 
   counts_.inc(kFull);

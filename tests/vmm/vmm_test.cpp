@@ -4,6 +4,7 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -137,6 +138,42 @@ TEST(Vmm, OomOnlyAfterMaxChunks) {
   EXPECT_EQ(ga.stats().vmm.mapped_chunks, 2u);
   EXPECT_EQ(ga.stats().vmm.max_chunks, 2u);
   for (void* p : held) ga.free(p);
+}
+
+// Several threads exhaust an elastic pool page by page, exactly. A
+// thread whose attempt fails while another maps the last chunk must retry
+// against that chunk, not report OOM with its pages still free: the
+// growth epoch it compares against has to predate its failed attempt.
+TEST(Vmm, ConcurrentGrowthExhaustsThePoolExactly) {
+  constexpr int kThreads = 4;
+  constexpr std::size_t kPages = kPool / alloc::kPageSize;
+  for (int round = 0; round < 20; ++round) {
+    GpuAllocator ga(elastic_cfg());
+    std::atomic<std::size_t> failed{0};
+    std::vector<std::vector<void*>> held(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&, t] {
+        for (std::size_t i = 0; i < kPages / kThreads; ++i) {
+          void* p = ga.malloc(alloc::kPageSize);
+          if (p == nullptr) {
+            failed.fetch_add(1);
+          } else {
+            held[t].push_back(p);
+          }
+        }
+      });
+    }
+    for (std::thread& th : threads) th.join();
+    ASSERT_EQ(failed.load(), 0u)
+        << "round " << round << ": " << ga.buddy().free_bytes()
+        << " bytes still free";
+    EXPECT_EQ(ga.buddy().free_bytes(), 0u);
+    for (const auto& v : held) {
+      for (void* p : v) ga.free(p);
+    }
+    EXPECT_TRUE(ga.check_consistency());
+  }
 }
 
 TEST(Vmm, ShrinkReturnsWholeFreeChunks) {
@@ -704,6 +741,77 @@ TEST(Vmm, FixedPoolIsUnaffected) {
   ga.free(p);
   ga.trim();  // retire the carved UAlloc chunk so the tree re-coalesces
   EXPECT_EQ(ga.buddy().largest_free_block(), cfg.pool_bytes);
+}
+
+// A slab-refilled class (8..64 B) stocks the fixed lane a batch at a
+// time. The sync pass must not take its destinations through the lane: a
+// refill claims slots no host owns, the pass's bitmap scan would migrate
+// them as live (the single-callback shim admits every move) and free their
+// sources while the lane still holds them — a double free once the lane
+// hands them out again.
+TEST(Vmm, DefragNeverMigratesLaneParkedSlabBlocks) {
+  HeapConfig cfg = elastic_cfg();
+  GpuAllocator ga(cfg);
+  ASSERT_TRUE(ga.fixed_lane_enabled());
+  constexpr std::size_t kSize = 64;
+  static_assert(alloc::fixed_lane_slab_refilled(alloc::size_class_of(kSize)));
+
+  // 2 MiB of 64 B blocks over several backing chunks, then keep 1 in 16:
+  // every bin is sparse and the survivors pin every chunk.
+  constexpr int kBlocks = 32768;
+  std::vector<void*> held(kBlocks);
+  for (int i = 0; i < kBlocks; ++i) {
+    held[i] = ga.malloc(kSize);
+    ASSERT_NE(held[i], nullptr);
+    std::memset(held[i], 0x40 + (i % 64), kSize);
+  }
+  std::map<void*, int> cur;
+  for (int i = 0; i < kBlocks; ++i) {
+    if (i % 16 == 0) {
+      cur[held[i]] = i;
+    } else {
+      ga.free(held[i]);
+    }
+  }
+  int unknown = 0;
+  ga.set_relocation_callback([&](void* from, void* to, std::size_t) {
+    const auto it = cur.find(from);
+    if (it == cur.end()) {
+      ++unknown;  // a slot the host never owned
+      return;
+    }
+    const int idx = it->second;
+    cur.erase(it);
+    cur[to] = idx;
+  });
+  const std::size_t mapped_before = ga.mapped_bytes();
+  EXPECT_GT(ga.defrag(), 0u);
+  EXPECT_EQ(unknown, 0) << "the pass migrated blocks no host owns";
+  EXPECT_LT(ga.mapped_bytes(), mapped_before);
+  EXPECT_TRUE(ga.check_consistency());
+
+  for (const auto& [p, orig] : cur) {
+    std::vector<unsigned char> want(kSize,
+                                    static_cast<unsigned char>(0x40 +
+                                                               orig % 64));
+    EXPECT_EQ(std::memcmp(p, want.data(), kSize), 0) << "block " << orig;
+    ga.free(p);
+  }
+  EXPECT_EQ(ga.bytes_in_use(), 0u);
+  // Cycle the class through the lane again: a slot the lane and the bin
+  // both thought free would be handed out (or released) twice here.
+  std::vector<void*> again(kBlocks);
+  for (int i = 0; i < kBlocks; ++i) {
+    again[i] = ga.malloc(kSize);
+    ASSERT_NE(again[i], nullptr);
+  }
+  std::sort(again.begin(), again.end());
+  EXPECT_EQ(std::adjacent_find(again.begin(), again.end()), again.end())
+      << "one block handed out twice";
+  for (void* p : again) ga.free(p);
+  ga.trim();
+  EXPECT_TRUE(ga.check_consistency());
+  EXPECT_EQ(ga.bytes_in_use(), 0u);
 }
 
 TEST(Vmm, PoolSyncRunsDefragWhenEnabled) {
