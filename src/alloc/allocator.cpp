@@ -57,6 +57,11 @@ GpuAllocator::GpuAllocator(const HeapConfig& cfg)
   buddy_->set_quicklist(cfg.quicklist);
   buddy_->set_cas_claim(cfg.cas_claim);
   if (vmm_ != nullptr) {
+    // Grow-on-exhaustion runs inside TBuddy, at the chunk order, where
+    // the per-order semaphores make one thread the grower.
+    buddy_->set_grower(vmm_chunk_order_, [this](std::uint64_t epoch) {
+      return grow_backing(epoch);
+    });
     for (std::uint32_t i = 0; i < vmm_->chunk_count(); ++i) {
       if (vmm_->is_mapped(i)) {
         buddy_->inject_block(vmm_->chunk_addr(i), vmm_chunk_order_);
@@ -204,36 +209,31 @@ bool GpuAllocator::reserve_bytes(std::size_t n) {
   }
 }
 
-GpuAllocator::GrowOutcome GpuAllocator::grow_backing(std::uint64_t& epoch) {
-  sync::LockGuard<sync::SpinMutex> g(grow_mu_);
-  const std::uint64_t cur = grow_epoch_.load(std::memory_order_relaxed);
-  if (cur != epoch) {
-    // Someone else mapped a chunk after we observed `epoch`: the caller
-    // retries its allocation against the new memory before asking for
-    // more — concurrent growers cooperate instead of over-mapping.
-    epoch = cur;
-    return GrowOutcome::kRetry;
-  }
+bool GpuAllocator::quota_caps_mapping() const {
   // The quota bounds the *resident footprint*, not the VA reservation:
   // growth stops once another chunk would push mapped bytes past the
   // quota rounded up to chunk granularity (a quota smaller than one chunk
   // still admits the first chunk; live-byte admission already enforced
   // the byte-exact limit).
   const std::size_t quota = quota_.load(std::memory_order_relaxed);
-  if (quota != 0) {
-    const std::size_t cap = util::align_up(quota, vmm_->chunk_bytes());
-    if (vmm_->mapped_bytes() + vmm_->chunk_bytes() > cap) {
-      return GrowOutcome::kQuotaDenied;
-    }
-  }
+  if (quota == 0) return false;
+  const std::size_t cap = util::align_up(quota, vmm_->chunk_bytes());
+  return vmm_->mapped_bytes() + vmm_->chunk_bytes() > cap;
+}
+
+bool GpuAllocator::grow_backing(std::uint64_t epoch) {
+  if (!vmm_enabled()) return false;  // set_vmm(false) froze the mapping
+  sync::LockGuard<sync::SpinMutex> g(grow_mu_);
+  // Every injection after construction happens under grow_mu_, so an
+  // epoch that moved since the caller's failed attempt means memory
+  // arrived in between: the caller retries against it before asking for
+  // more — concurrent growers cooperate instead of over-mapping.
+  if (buddy_->inject_epoch() != epoch) return true;
+  if (quota_caps_mapping()) return false;
   void* chunk = vmm_->map_next();
-  if (chunk == nullptr) return GrowOutcome::kExhausted;
+  if (chunk == nullptr) return false;  // growth ceiling (max_chunks)
   buddy_->inject_block(chunk, vmm_chunk_order_);
-  // Release: a thread whose epoch sample reads the new value also sees
-  // the injected block.
-  grow_epoch_.store(cur + 1, std::memory_order_release);
-  epoch = cur + 1;
-  return GrowOutcome::kGrew;
+  return true;
 }
 
 void* GpuAllocator::malloc(std::size_t size, AllocStatus* status,
@@ -268,12 +268,9 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status,
     if (status != nullptr) *status = AllocStatus::kQuota;
     return nullptr;
   }
-  // The growth epoch is sampled before the first attempt: a chunk another
-  // thread maps after this point but before our growth step must send us
-  // back to retry. Sampled after the attempt failed, such a chunk would
-  // read as already seen, map_next() would find nothing left to map, and
-  // the request would fail with the new chunk's pages still free.
-  std::uint64_t epoch = grow_epoch_.load(std::memory_order_acquire);
+  // An elastic pool grows inside TBuddy, so a failed route means growth
+  // was refused (ceiling, quota, or set_vmm(false)) or the pool is
+  // fixed-size.
   void* p = route_alloc(rounded);
   if (p == nullptr && lane_->enabled()) {
     // Lane-resident blocks pin bins (and thus chunks) in other classes'
@@ -288,24 +285,6 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status,
     // above and the quicklist flush inside TBuddy).
     p = route_alloc(rounded);
   }
-  bool grow_quota_denied = false;
-  if (p == nullptr && vmm_enabled()) {
-    // Grow-on-exhaustion: map backing chunks one at a time until the
-    // routed request succeeds or growth hits the ceiling/quota. Runs
-    // after every cache-flush retry — new physical memory is the last
-    // resort before declaring failure, and the epoch protocol makes a
-    // grower that lost the race retry the allocation before mapping.
-    for (;;) {
-      const GrowOutcome out = grow_backing(epoch);
-      if (out == GrowOutcome::kExhausted) break;
-      if (out == GrowOutcome::kQuotaDenied) {
-        grow_quota_denied = true;
-        break;
-      }
-      p = route_alloc(rounded);
-      if (p != nullptr) break;
-    }
-  }
   if (p != nullptr && sanitized) {
     p = san_->on_alloc(p, effective_size(wrapped), size);
   }
@@ -317,9 +296,10 @@ void* GpuAllocator::malloc(std::size_t size, AllocStatus* status,
     in_use_.fetch_sub(charge, std::memory_order_relaxed);
     if (vmm_ != nullptr) TOMA_CTR_ADD("vmm.live_bytes.freed", charge);
     counts_.inc(kFailed);
-    if (grow_quota_denied) {
+    if (vmm_enabled() && quota_caps_mapping()) {
       // Not true exhaustion: the reservation has room, but mapping more
-      // would exceed the tenant's resident-footprint quota.
+      // would exceed the tenant's resident-footprint quota (the same
+      // verdict the grower reached).
       counts_.inc(kQuotaRejects);
       TOMA_TRACE("alloc.quota", size);
       if (status != nullptr) *status = AllocStatus::kQuota;

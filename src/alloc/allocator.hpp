@@ -425,18 +425,14 @@ class GpuAllocator {
   /// Quota admission: charge `n` bytes, or fail without charging.
   bool reserve_bytes(std::size_t n);
 
-  /// One grow step under the grow mutex. kRetry: another thread grew
-  /// since `epoch` was observed — retry the allocation before mapping
-  /// more. kGrew: one chunk mapped and injected. kExhausted: growth
-  /// ceiling (max_chunks). kQuotaDenied: mapping another chunk would push
-  /// the resident footprint past the quota.
-  enum class GrowOutcome : std::uint8_t {
-    kRetry,
-    kGrew,
-    kExhausted,
-    kQuotaDenied,
-  };
-  GrowOutcome grow_backing(std::uint64_t& epoch);
+  /// TBuddy's grower (TBuddy::set_grower): under grow_mu_, retry (true)
+  /// if a block was injected since `epoch`, else map and inject the next
+  /// backing chunk (true), or refuse (false) when vmm is off, the quota
+  /// caps the mapping, or the ceiling (max_chunks) is reached.
+  bool grow_backing(std::uint64_t epoch);
+  /// Would mapping one more chunk push the resident footprint past the
+  /// quota? (The grower's refusal, and kQuota rather than kOom.)
+  bool quota_caps_mapping() const;
 
   /// Migrate one sparse bin's live blocks; returns blocks moved (0 when
   /// the bin was skipped). Part of defrag(). `evac` holds the UAlloc
@@ -509,13 +505,13 @@ class GpuAllocator {
   std::uint32_t vmm_chunk_order_ = 0;       // buddy order of one chunk
   std::uint32_t vmm_initial_chunks_ = 0;    // shrink floor
   std::atomic<bool> vmm_on_{false};
-  std::atomic<std::uint64_t> grow_epoch_{0};
   sync::SpinMutex grow_mu_;
   // Lock order: defrag_mu_ before grow_mu_ before park_mu_; never
   // reversed. defrag_mu_ serializes defrag()/defrag_step()/hook
   // registration (steps try-lock so piggyback callers never spin);
   // park_mu_ alone guards the active evacuation's held set against
-  // tenant-path parking.
+  // tenant-path parking. Any allocation may take grow_mu_ (TBuddy's
+  // grower), so nothing allocates while holding grow_mu_ or park_mu_.
   sync::SpinMutex defrag_mu_;
   sync::SpinMutex park_mu_;
   RelocationHooks hooks_;

@@ -2,6 +2,7 @@
 
 #include "alloc/config.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 
@@ -66,6 +67,9 @@ void TBuddy::inject_block(void* p, std::uint32_t order) {
   // would — Available state + semaphore unit under the parent lock — and
   // coalesces it with any adjacent injected memory.
   free_block(node_at(p, order), order);
+  // Release: a grower's epoch sample that reads the new count also sees
+  // the block.
+  inject_epoch_.fetch_add(1, std::memory_order_release);
 }
 
 void* TBuddy::try_extract_block(std::uint32_t order) {
@@ -319,15 +323,22 @@ void* TBuddy::quicklist_pop(std::uint32_t order) {
 }
 
 void* TBuddy::allocate(std::uint32_t order) {
-  if (order > max_order_) {
-    counts_.inc(kFailed);
-    return nullptr;
-  }
+  void* p = allocate_at(order, std::max(order, grow_order_));
+  if (p == nullptr) counts_.inc(kFailed);
+  return p;
+}
+
+void* TBuddy::allocate_at(std::uint32_t order, std::uint32_t grow_at) {
+  if (order > max_order_) return nullptr;
   if (quicklist_enabled()) {
     if (void* p = quicklist_pop(order)) return p;
   }
+  const bool may_grow = order == grow_at && grower_;
   for (;;) {
-    void* p = allocate_from_tree(order);
+    // Sampled before the attempt: memory injected after this point must
+    // send the grower back to the tree rather than read as already seen.
+    const std::uint64_t epoch = may_grow ? inject_epoch() : 0;
+    void* p = allocate_from_tree(order, grow_at);
     if (p != nullptr) return p;
     // Pool pressure: the tree is exhausted at this order, but deferred
     // coalescing may be sitting on mergeable blocks. Flush everything
@@ -335,18 +346,22 @@ void* TBuddy::allocate(std::uint32_t order) {
     // true exhaustion. (Recursive growers flush at the deepest failing
     // level first; by the time the failure propagates here the lists are
     // usually already drained and this loop exits on its first retry.)
-    if (flush_quicklists() == 0) {
-      counts_.inc(kFailed);
-      return nullptr;
+    if (flush_quicklists() != 0) {
+      TOMA_CTR_INC("tbuddy.quicklist.pressure_flush");
+      if (quicklist_enabled()) {
+        if (void* p2 = quicklist_pop(order)) return p2;
+      }
+      continue;
     }
-    TOMA_CTR_INC("tbuddy.quicklist.pressure_flush");
-    if (quicklist_enabled()) {
-      if (void* p2 = quicklist_pop(order)) return p2;
-    }
+    // True exhaustion at the growth order: ask the backing for memory.
+    // Splitters below grow_at hold their orders' grow elections, so their
+    // waiters block on this growth instead of failing past it.
+    if (!may_grow || !grower_(epoch)) return nullptr;
   }
 }
 
-void* TBuddy::allocate_from_tree(std::uint32_t order) {
+void* TBuddy::allocate_from_tree(std::uint32_t order,
+                                 std::uint32_t grow_at) {
   // Per-order semaphore outcome: kAcquired means a block of this order is
   // (or will be) claimable; kMustGrow makes us the splitter one order up.
   // The semaphore reads the clock only if it blocks.
@@ -364,15 +379,15 @@ void* TBuddy::allocate_from_tree(std::uint32_t order) {
 
   // kMustGrow: produce a batch of two order-n blocks by splitting an
   // order-(n+1) block; keep one, publish the other. The recursive call
-  // goes through allocate(), so the parent order's quicklist (and, on
-  // failure, the pressure flush) serve the split too.
+  // goes through allocate_at(), so the parent order's quicklist (and, on
+  // failure, the pressure flush and the grower) serve the split too.
   TOMA_CTRV_INC("tbuddy.sem_grow", 24, order);
   TOMA_TRACE("tbuddy.grow", order);
   if (order == max_order_) {
     sems_[order]->signal(0, 1);  // cannot grow past the root: true OOM
     return nullptr;
   }
-  void* parent_mem = allocate(order + 1);
+  void* parent_mem = allocate_at(order + 1, grow_at);
   if (parent_mem == nullptr) {
     sems_[order]->signal(0, 1);  // growth failed; let waiters re-decide
     return nullptr;

@@ -49,6 +49,11 @@
 //     to the (parent, node) lock protocol on contention. Parent-state
 //     recomputation still runs through the ordinary locked fixup.
 //
+// An elastic pool's backing sits below the root: a grower callback
+// (set_grower) maps more memory when the tree is truly exhausted at the
+// backing-chunk order, so the per-order semaphores elect it like any
+// other split and every other thread waits for its batch (INTERNALS §8).
+//
 // TBuddy results are always aligned to the block size (hence at least
 // page-aligned) — the property the top-level allocator uses to route
 // free() calls without a shared ownership table.
@@ -57,6 +62,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -102,8 +108,30 @@ class TBuddy {
 
   /// Allocate a block of `page_size << order` bytes; nullptr when the pool
   /// cannot supply one (true exhaustion at that order, not false resource
-  /// starvation — see paper §3.1).
+  /// starvation — see paper §3.1) and the grower, if any, refused to add
+  /// memory. A nullptr counts one failure, whatever orders it climbed.
   void* allocate(std::uint32_t order);
+
+  /// Elastic growth. `grow(epoch)` is called with no node lock held when
+  /// the tree is truly exhausted (quicklists flushed) at grow_at =
+  /// max(request order, `order`), never at another order of the climb;
+  /// `epoch` is inject_epoch() sampled before that failed tree attempt.
+  /// It returns true when the tree is worth retrying — it injected memory,
+  /// or another injection happened since `epoch` — and false to refuse
+  /// (the request then fails). Set once, before concurrent use.
+  using Grower = std::function<bool(std::uint64_t epoch)>;
+  void set_grower(std::uint32_t order, Grower grow) {
+    TOMA_ASSERT(order <= max_order_);
+    grow_order_ = order;
+    grower_ = std::move(grow);
+  }
+
+  /// Blocks injected so far (inject_block calls). A grower compares it,
+  /// under the lock that serializes its injections, against the epoch it
+  /// was handed: a change means memory arrived after the failed attempt.
+  std::uint64_t inject_epoch() const {
+    return inject_epoch_.load(std::memory_order_acquire);
+  }
 
   /// Convenience: allocate the smallest order covering `bytes`.
   void* allocate_bytes(std::size_t bytes);
@@ -266,10 +294,15 @@ class TBuddy {
   /// Free-side merge cascade; consumes ownership of node `i` at `order`.
   void free_block(std::uint32_t i, std::uint32_t order);
 
-  /// The tree path of allocate(): semaphore wait, descent claim or
-  /// recursive split. nullptr on exhaustion (failure stats are counted by
-  /// the caller, which may flush the quicklists and retry).
-  void* allocate_from_tree(std::uint32_t order);
+  /// allocate() without the failure count: quicklist, tree, pressure
+  /// flush, and at order == grow_at the grower. Splits recurse through
+  /// here carrying the outer request's grow_at.
+  void* allocate_at(std::uint32_t order, std::uint32_t grow_at);
+
+  /// The tree path of allocate_at(): semaphore wait, descent claim or
+  /// recursive split. nullptr on exhaustion (the caller may flush the
+  /// quicklists, grow and retry).
+  void* allocate_from_tree(std::uint32_t order, std::uint32_t grow_at);
 
   /// Record/clear the per-page allocation order for a block base.
   void record_allocation(void* p, std::uint32_t order);
@@ -290,6 +323,9 @@ class TBuddy {
   std::uint32_t max_order_;
   bool scatter_ = true;
   std::uint32_t descent_latency_ = 0;
+  Grower grower_;                  // empty = fixed-size pool
+  std::uint32_t grow_order_ = 0;   // backing-chunk order
+  std::atomic<std::uint64_t> inject_epoch_{0};
 
   std::vector<std::uint8_t> node_state_;       // state+lock byte per node
   std::vector<std::uint8_t> order_of_page_;    // 0xFF = no allocation start

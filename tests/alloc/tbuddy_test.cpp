@@ -402,6 +402,72 @@ TEST_F(TBuddyTest, CasClaimTogglesAndCounts) {
   EXPECT_TRUE(buddy_.check_consistency());
 }
 
+// Elastic growth: an initially empty tree whose fake grower injects the
+// next 256 KB chunk (order 6) per call, as the vmm backing does.
+struct FakeBacking {
+  static constexpr std::uint32_t kChunkOrder = 6;
+  static constexpr std::size_t kChunkBytes = kPageSize << kChunkOrder;
+  explicit FakeBacking(std::size_t pool_bytes)
+      : pool(pool_bytes), buddy(pool.get(), pool_bytes, kPageSize, true) {
+    buddy.set_grower(kChunkOrder, [this](std::uint64_t epoch) {
+      ++calls;
+      EXPECT_EQ(epoch, buddy.inject_epoch());  // nothing raced the attempt
+      if (refuse || next * kChunkBytes >= pool.size()) return false;
+      buddy.inject_block(static_cast<char*>(pool.get()) +
+                             next++ * kChunkBytes,
+                         kChunkOrder);
+      return true;
+    });
+  }
+  test::AlignedPool pool;
+  TBuddy buddy;
+  std::size_t next = 0;  // chunks injected so far
+  int calls = 0;
+  bool refuse = false;
+};
+
+TEST_F(TBuddyTest, GrowerRunsOnlyAtGrowAt) {
+  FakeBacking fb(kPool);
+  // A page request climbs from order 0 past the chunk order to the root;
+  // only the chunk-order level asks for memory, once.
+  void* page = fb.buddy.allocate(0);
+  ASSERT_NE(page, nullptr);
+  EXPECT_EQ(fb.calls, 1);
+  EXPECT_EQ(fb.next, 1u);
+  // A two-chunk request grows at its own order until an aligned pair
+  // coalesces: chunk 1 cannot pair with the used chunk 0, chunks 2-3 can.
+  void* pair = fb.buddy.allocate(FakeBacking::kChunkOrder + 1);
+  ASSERT_NE(pair, nullptr);
+  EXPECT_EQ(pair, static_cast<char*>(fb.pool.get()) +
+                      2 * FakeBacking::kChunkBytes);
+  EXPECT_EQ(fb.calls, 4);
+  EXPECT_EQ(fb.next, 4u);
+  // Chunk 1 serves the next chunk-order request without growing.
+  void* chunk = fb.buddy.allocate(FakeBacking::kChunkOrder);
+  EXPECT_EQ(chunk, static_cast<char*>(fb.pool.get()) +
+                       FakeBacking::kChunkBytes);
+  EXPECT_EQ(fb.calls, 4);
+  EXPECT_EQ(fb.buddy.stats().failed_allocs, 0u);
+  fb.buddy.free(page);
+  fb.buddy.free(pair);
+  fb.buddy.free(chunk);
+  fb.buddy.trim();
+  EXPECT_EQ(fb.buddy.largest_free_block(), 4 * FakeBacking::kChunkBytes);
+  EXPECT_TRUE(fb.buddy.check_consistency());
+}
+
+TEST_F(TBuddyTest, RefusingGrowerFailsTheRequestOnce) {
+  FakeBacking fb(kPool);
+  fb.refuse = true;
+  EXPECT_EQ(fb.buddy.allocate(0), nullptr);
+  // One grower call and one failure for the request, not one per order
+  // the climb failed at.
+  EXPECT_EQ(fb.calls, 1);
+  EXPECT_EQ(fb.buddy.stats().failed_allocs, 1u);
+  EXPECT_EQ(fb.buddy.free_bytes(), 0u);
+  EXPECT_TRUE(fb.buddy.check_consistency());
+}
+
 TEST_F(TBuddyTest, QuicklistConcurrentChurnPreservesInvariants) {
   if (!buddy_.quicklist_enabled()) GTEST_SKIP() << "quicklist compiled off";
   gpu::Device dev(test::small_device());

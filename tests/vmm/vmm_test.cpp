@@ -2,6 +2,7 @@
 // exhaustion, shrink-at-trim, the mapped-footprint quota gate, and the
 // quiescent-point defragmentation pass (docs/INTERNALS.md §8).
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <map>
 #include <thread>
@@ -116,8 +117,62 @@ TEST(Vmm, GrowthCoalescesIntoLargeBlocks) {
   GpuAllocator ga(elastic_cfg());
   void* p = ga.malloc(512 * 1024);
   ASSERT_NE(p, nullptr);
-  EXPECT_GE(ga.mapped_bytes(), 2 * kChunkSize);
+  EXPECT_EQ(ga.mapped_bytes(), 2 * kChunkSize);  // chunk 1 pairs with 0
   ga.free(p);
+  EXPECT_TRUE(ga.check_consistency());
+}
+
+TEST(Vmm, LargeRequestGrowsOnlyToTheFirstAlignedPair) {
+  // Chunk 0 partly in use: a two-chunk request cannot pair chunk 1 with
+  // it, so it maps chunks 1-3 and stops once chunks 2-3 coalesce.
+  GpuAllocator ga(elastic_cfg());
+  void* page = ga.malloc(alloc::kPageSize);
+  ASSERT_NE(page, nullptr);
+  void* p = ga.malloc(512 * 1024);
+  ASSERT_NE(p, nullptr);
+  EXPECT_EQ(p, ga.backing().chunk_addr(2));
+  EXPECT_EQ(ga.mapped_bytes(), 4 * kChunkSize);
+  // The stranded chunk 1 serves the next chunk-sized request.
+  void* q = ga.malloc(kChunkSize);
+  EXPECT_EQ(q, ga.backing().chunk_addr(1));
+  EXPECT_EQ(ga.mapped_bytes(), 4 * kChunkSize);
+  EXPECT_EQ(ga.stats().buddy.failed_allocs, 0u);
+  ga.free(page);
+  ga.free(p);
+  ga.free(q);
+  EXPECT_TRUE(ga.check_consistency());
+}
+
+// Thousands of fibers on one worker outrun a one-chunk elastic pool
+// together. The growth is TBuddy's chunk-order grow election: one fiber
+// maps while the rest wait on the per-order semaphores, so no request
+// fails anywhere on the way — no TBuddy failure, no sweep of sibling
+// arenas, no lane flush.
+TEST(Vmm, GrowthElectsOneGrowerWhileTheHerdWaits) {
+  gpu::Device dev(test::small_device(8, 512, /*workers=*/1));
+  HeapConfig cfg = elastic_cfg();
+  cfg.num_arenas = dev.num_sms();
+  GpuAllocator ga(cfg);
+  constexpr std::uint64_t kThreads = 4096;
+  constexpr int kBlocks = 4;
+  std::atomic<std::uint64_t> failed{0};
+  dev.launch_linear(kThreads, 256, [&](gpu::ThreadCtx& t) {
+    void* held[kBlocks];
+    for (int i = 0; i < kBlocks; ++i) {
+      held[i] = ga.malloc(std::size_t{16} << ((t.global_rank() + i) % 6));
+      if (held[i] == nullptr) failed.fetch_add(1);
+      t.sync_block();
+    }
+    for (void* p : held) ga.free(p);
+  });
+  const alloc::GpuAllocatorStats st = ga.stats();
+  EXPECT_EQ(failed.load(), 0u);
+  EXPECT_EQ(st.failed_mallocs, 0u);
+  EXPECT_GE(st.vmm.grows, 4u);  // grew several times...
+  EXPECT_LT(st.vmm.mapped_chunks, st.vmm.max_chunks);  // ...below the ceiling
+  EXPECT_EQ(st.buddy.failed_allocs, 0u);
+  EXPECT_EQ(st.ualloc.arena_fallbacks, 0u);
+  EXPECT_EQ(st.lane.flushes, 0u);
   EXPECT_TRUE(ga.check_consistency());
 }
 
