@@ -7,7 +7,8 @@
 // back-to-back, then 15 of every 16 are freed — the survivors are pinned
 // long-lived "tenant" state scattered one or two to a bin across every
 // chunk the batch touched. The round ends at a sync point, where an
-// elastic pool trims and (when enabled) runs the defrag pass. Round over
+// elastic pool trims and (when enabled) runs the compactor to
+// convergence (DefragMode::kSync). Round over
 // round the survivors accumulate, so without compaction the mapped
 // footprint ratchets to the sum of every round's peak while the live
 // bytes stay a fraction of it.
@@ -15,8 +16,9 @@
 // Protocol: identical geometry and allocation sequence, defrag off vs on
 // (both with vmm growth, shrink, and release_threshold=0 — the OFF arm
 // is "shrink alone", so the measured gap is compaction, not trimming).
-// The relocation callback rekeys the survivor table, exactly as a host
-// application tolerating relocation would. Report live bytes, mapped
+// The two-phase relocation hooks rekey the survivor table, exactly as a
+// host application tolerating relocation would: prepare admits only the
+// survivors it tracks, commit rekeys. Report live bytes, mapped
 // bytes, live/mapped occupancy (1.0 = perfectly dense), and defrag
 // moves. Acceptance: defrag ON holds live/mapped >= 2x better than OFF
 // at the final round.
@@ -53,23 +55,27 @@ Out run(const Options& opt, bool defrag_on) {
   // round the footprint to whole chunks, and the interesting signal is
   // how closely mapped tracks live.
   cfg.chunk_bytes = 1u << 20;
-  cfg.defrag = defrag_on;
+  cfg.defrag_mode = defrag_on ? alloc::DefragMode::kSync
+                              : alloc::DefragMode::kOff;
   cfg.release_threshold = 0;  // trim (and defrag, when on) at every sync
   alloc::Pool pool(defrag_on ? "frag-on" : "frag-off", cfg);
   gpu::Stream stream;
 
-  // Survivors keyed by *current* address: defrag moves blocks, and the
-  // relocation callback rekeys — the contract a relocation-tolerant
-  // tenant runtime implements.
+  // Survivors keyed by *current* address: defrag moves blocks, prepare
+  // vetoes anything not in the table and commit rekeys — the contract a
+  // relocation-tolerant tenant runtime implements.
   std::unordered_map<void*, std::uint32_t> live;
-  pool.allocator().set_relocation_callback(
-      [&live](void* from, void* to, std::size_t) {
-        const auto it = live.find(from);
-        if (it == live.end()) return;  // short-lived block mid-batch
-        const std::uint32_t id = it->second;
-        live.erase(it);
-        live.emplace(to, id);
-      });
+  alloc::RelocationHooks hooks;
+  hooks.prepare = [&live](void* from, void*, std::size_t) {
+    return live.count(from) != 0;
+  };
+  hooks.commit = [&live](void* from, void* to, std::size_t) {
+    const auto it = live.find(from);
+    const std::uint32_t id = it->second;
+    live.erase(it);
+    live.emplace(to, id);
+  };
+  pool.set_relocation_hooks(std::move(hooks));
 
   util::Xorshift rng(0x5eed);
   std::uint32_t next_id = 0;

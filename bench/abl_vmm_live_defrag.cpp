@@ -1,14 +1,15 @@
-// Ablation A12 — incremental (live) defrag vs sync passes vs no
+// Ablation A12 — incremental (live) defrag vs sync-point runs vs no
 // compaction, under concurrent allocator traffic (docs/INTERNALS.md §8,
 // EXPERIMENTS.md A12).
 //
-// The question A11 (abl_vmm_frag) leaves open: the sync pass recovers
-// density, but only at a quiescent point — what does compaction cost
-// when the heap CANNOT stop? Three arms, identical geometry and
-// allocation sequence:
+// The question A11 (abl_vmm_frag) leaves open: the sync mode recovers
+// density, but only by running the compactor to convergence at a sync
+// point — what does compaction cost when the heap CANNOT stop? Three
+// arms, identical geometry, allocation sequence and engine:
 //
 //   off          shrink-only baseline (trim at sync points, no moves)
-//   sync         whole quiescent passes at the periodic sync points
+//   sync         the compactor run to convergence at the periodic sync
+//                points
 //   incremental  bounded defrag_step slices piggybacked on the async
 //                surface while traffic keeps flowing (two-phase
 //                prepare/commit hooks, forwarding for in-flight frees)
@@ -19,13 +20,13 @@
 // free_async traffic with per-op latency sampling — the incremental
 // driver pays its slices inside these very ops, so the sampled p99 IS
 // the tenant-visible cost of compacting live. Periodic stream syncs
-// bound the pending-free window (and host the sync arm's passes).
+// bound the pending-free window (and host the sync arm's runs).
 //
 // Report live/mapped density, bytes moved, steps, forwarded frees, and
 // malloc p50/p99. Acceptance (CI smoke): the incremental arm moves
 // bytes (> 0), its malloc p99 stays under 2x the off arm (no
 // stop-the-world cliff), and its final density lands within 1.3x of the
-// sync pass.
+// sync mode.
 #include <algorithm>
 #include <chrono>
 #include <cinttypes>
@@ -94,8 +95,7 @@ Out run(const Options& opt, alloc::DefragMode mode, const char* name) {
   // Two-phase host contract: survivors keyed by current address; prepare
   // admits only pointers this table owns live (anything else — churn
   // blocks, pending async frees — is vetoed and stays put), commit
-  // rekeys. The sync arm shares the same hooks: a quiescent pass simply
-  // never has in-flight ops to veto.
+  // rekeys. The sync arm shares the same hooks.
   std::unordered_map<void*, std::uint32_t> live;
   std::uint64_t moves_committed = 0;
   alloc::RelocationHooks hooks;
@@ -149,7 +149,7 @@ Out run(const Options& opt, alloc::DefragMode mode, const char* name) {
         fifo.erase(fifo.begin());
       }
       if (i % kSyncInterval == kSyncInterval - 1) {
-        pool.sync(stream);  // sync arm: the quiescent pass runs here
+        pool.sync(stream);  // sync arm: the compactor runs here
       }
     }
     for (void* p : fifo) pool.free_async(p, stream);
@@ -217,7 +217,7 @@ int main_impl(int argc, char** argv) {
   add("incremental", inc);
 
   // CI smoke keys: the incremental arm must actually compact, must not
-  // cliff the malloc tail, and must land near the sync pass's density.
+  // cliff the malloc tail, and must land near the sync mode's density.
   const double p99_ratio =
       off.malloc_p99_ns == 0 ? 0.0 : inc.malloc_p99_ns / off.malloc_p99_ns;
   const double density_ratio =

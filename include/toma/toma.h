@@ -104,20 +104,18 @@ typedef struct toma_pool_config {
                              * shrink floor); 0 = library default (1)    */
   unsigned max_chunks;      /* growth ceiling in chunks; 0 = the whole
                              * reservation                               */
-  int defrag;               /* DEPRECATED (use defrag_mode): run the
-                             * defragmentation pass at sync points
-                             * (moved blocks change address — only for
-                             * hosts that tolerate relocation).
-                             * -1/0 = off (the default), 1 = on.
-                             * Consulted only when defrag_mode is -1    */
-  int defrag_mode;          /* defragmentation driver:
-                             *  -1 = legacy (honour `defrag` above),
-                             *   0 = off,
-                             *   1 = sync (whole pass at sync points),
+  int defrag_mode;          /* when the compactor runs (moved blocks
+                             * change address — only for hosts that
+                             * tolerate relocation):
+                             *   0 = off (the default),
+                             *   1 = sync (run to convergence at each
+                             *       sync point),
                              *   2 = incremental (bounded concurrent
-                             *       slices; requires relocation hooks
-                             *       with a prepare callback, see
-                             *       toma_pool_set_relocation_hooks).
+                             *       slices).
+                             * Both moving modes require relocation
+                             * hooks with a prepare callback (see
+                             * toma_pool_set_relocation_hooks); without
+                             * one nothing moves.
                              * Anything else: TOMA_ERR_INVALID          */
 } toma_pool_config_t;
 
@@ -219,13 +217,13 @@ uint64_t toma_pool_slo_violations(toma_pool_t pool);
  * two-phase protocol: for each candidate block the library calls
  * prepare(old, new, size, user) — return nonzero to allow the move (and
  * stop touching the block until commit), zero to veto it (the block
- * stays put; under the incremental driver veto anything you do not
- * recognize as one of your live pointers). On an allowed move the bytes
- * are copied and commit(old, new, size, user) fires: rewrite your
- * references from old to new. abort(old, user) is reserved for moves
- * undone between a successful prepare and commit; it may be NULL (the
- * current library never takes that path, the slot exists for protocol
- * completeness). Hooks run under the pool's defrag lock: they must not
+ * stays put; veto anything you do not recognize as one of your live
+ * pointers). On an allowed move the bytes are copied and
+ * commit(old, new, size, user) fires: rewrite your references from old
+ * to new. abort(old, user) is reserved for moves undone between a
+ * successful prepare and commit; it may be NULL (the current library
+ * never takes that path, the slot exists for protocol completeness).
+ * Hooks run under the pool's defrag lock: they must not
  * call back into the library and should be quick. */
 typedef struct toma_relocation_hooks {
   int (*prepare)(void* old_ptr, void* new_ptr, size_t size, void* user);
@@ -236,14 +234,15 @@ typedef struct toma_relocation_hooks {
 
 /* Register the pool's relocation hooks (replacing any previous
  * registration; hooks = NULL or all-NULL members unregisters). commit
- * is required whenever prepare is set; prepare is required for the
- * incremental driver. TOMA_ERR_INVALID on a bad combination. */
+ * is required whenever prepare is set; without prepare neither the
+ * sync nor the incremental driver moves anything. TOMA_ERR_INVALID on a
+ * bad combination. */
 toma_status_t toma_pool_set_relocation_hooks(
     toma_pool_t pool, const toma_relocation_hooks_t* hooks);
 
 typedef struct toma_defrag_stats {
   uint64_t steps;       /* defrag_step slices that ran */
-  uint64_t moved_bytes; /* bytes evacuated incrementally */
+  uint64_t moved_bytes; /* bytes moved (sync and incremental) */
   uint64_t forwarded;   /* frees/reallocs resolved via forwarding */
   uint64_t pin_stalls;  /* retirement waits on in-flight operations */
 } toma_defrag_stats_t;

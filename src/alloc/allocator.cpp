@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <vector>
 
 #include "obs/postmortem.hpp"
@@ -466,17 +465,6 @@ void GpuAllocator::set_relocation_hooks(RelocationHooks hooks) {
   hooks_ = std::move(hooks);
 }
 
-void GpuAllocator::set_relocation_callback(RelocateFn cb) {
-  // Legacy shim: prepare admits every move (the quiescent-pass contract,
-  // where nothing races the pass), commit is the old callback.
-  RelocationHooks hooks;
-  if (cb) {
-    hooks.commit = [cb = std::move(cb)](void* from, void* to,
-                                        std::size_t n) { cb(from, to, n); };
-  }
-  set_relocation_hooks(std::move(hooks));
-}
-
 void GpuAllocator::set_incremental_defrag(bool on) {
   if (on) {
     pins_on_.store(true, std::memory_order_seq_cst);
@@ -491,227 +479,48 @@ void GpuAllocator::set_incremental_defrag(bool on) {
   }
 }
 
-std::size_t GpuAllocator::defrag(std::size_t max_moves) {
+std::size_t GpuAllocator::defrag() {
   if (!vmm_enabled()) return 0;
-  sync::LockGuard<sync::SpinMutex> defrag_lock(defrag_mu_);
-  // A quiescent pass over outstanding incremental state would census the
-  // held slots as live and (under permissive hooks) double-free them —
-  // the two drivers are mutually exclusive until the queue drains.
-  if (active_ != nullptr || !forwarding_.empty()) return 0;
-  counts_.inc(kDefragPasses);
-  // Quiescent-point preamble: every cached block must re-enter the bin
-  // accounting or the occupancy census undercounts (a lane or quarantine
-  // resident keeps its bitmap bit claimed but is dead weight).
-  release_cached();
-  // Unmapping happens at backing-chunk granularity, so bin-level
-  // compaction only pays off when whole chunks empty. Group the census by
-  // owning chunk and evacuate chunks in ascending live-byte order,
-  // blacklisting every evacuating chunk as a destination: blocks flow out
-  // of the emptiest chunks into the fullest ones, instead of the
-  // allocator re-scattering them (class-list order interleaves bins from
-  // every chunk) so that each chunk keeps one live bin and none unmap.
-  struct ChunkGroup {
-    std::uintptr_t base = 0;
-    std::size_t live_bytes = 0;
-    std::vector<UAlloc::BinOccupancy> bins;
-  };
-  const std::size_t chunk_bytes = vmm_->chunk_bytes();
-  std::map<std::uintptr_t, ChunkGroup> groups;
-  for (const UAlloc::BinOccupancy& bo : ualloc_->snapshot_bins()) {
-    const std::uintptr_t base = static_cast<std::uintptr_t>(
-        util::align_down(reinterpret_cast<std::uintptr_t>(bo.bin),
-                         chunk_bytes));
-    ChunkGroup& g = groups[base];
-    g.base = base;
-    g.live_bytes += bo.live * size_of_class(bo.bin->size_class);
-    g.bins.push_back(bo);
-  }
-  // The occupancy threshold (Num/Den, default 1/2) applies at *chunk*
-  // granularity: a chunk below it is evacuated wholesale, dense bins
-  // included — copying a few full bins is cheap next to unmapping a
-  // whole chunk, and sparing them would leave the chunk pinned. Chunks
-  // at or above the threshold are keepers (compaction destinations).
-  bool have_keeper = false;
-  std::vector<const ChunkGroup*> evac_order;
-  for (const auto& [base, g] : groups) {
-    if (g.live_bytes * kVmmDefragOccupancyDen >=
-        chunk_bytes * kVmmDefragOccupancyNum) {
-      have_keeper = true;
-    } else {
-      evac_order.push_back(&g);
+  std::uint64_t moved = 0;
+  {
+    sync::LockGuard<sync::SpinMutex> defrag_lock(defrag_mu_);
+    // Without a prepare hook no host can veto a block it does not own (a
+    // lane-parked slot, a block mid-operation): nothing moves, exactly
+    // as defrag_step refuses to.
+    if (!hooks_.prepare) return 0;
+    pins_on_.store(true, std::memory_order_seq_cst);
+    counts_.inc(kDefragPasses);
+    const std::uint64_t moves_before = counts_.value(kDefragMoves);
+    // Every cached block re-enters the bin accounting first, or the
+    // census counts lane and quarantine residents as live.
+    release_cached();
+    select_backoff_ = 0;
+    // Each chunk is a victim at most once per run, so the loop below
+    // ends after at most chunk_count() victims. (A victim that cannot be
+    // claimed back — vetoed blocks keep it from emptying, or it retires
+    // at the initial_chunks floor — returns to kLive and would otherwise
+    // be selected again at once.)
+    std::vector<bool> evacuated(vmm_->chunk_count());
+    std::size_t moved_bytes = 0;
+    for (;;) {
+      step_retire();
+      if (active_ == nullptr && !select_victim(&evacuated)) break;
+      moved_bytes += step_evacuate(SIZE_MAX);
     }
-  }
-  std::sort(evac_order.begin(), evac_order.end(),
-            [](const ChunkGroup* a, const ChunkGroup* b) {
-              return a->live_bytes != b->live_bytes
-                         ? a->live_bytes < b->live_bytes
-                         : a->base < b->base;
-            });
-  // With no dense chunk anywhere, keep the fullest sparse chunk as the
-  // landing zone — evacuating every chunk would only push blocks into
-  // freshly mapped ones.
-  if (!have_keeper && !evac_order.empty()) evac_order.pop_back();
-  std::size_t moved = 0;
-  std::set<std::uintptr_t> evac;
-  std::vector<std::pair<BinHeader*, std::uint32_t>> pinned;
-  std::set<const void*> pinned_addrs;
-  for (const ChunkGroup* g : evac_order) {
-    if (moved >= max_moves) break;
-    evac.insert(g->base);
-    for (const UAlloc::BinOccupancy& bo : g->bins) {
-      if (moved >= max_moves) break;
-      if (bo.live == 0) continue;
-      moved += migrate_bin(bo.bin, max_moves - moved, evac, pinned,
-                           pinned_addrs);
+    // Retire what is still forwarding. A pin stall ends the drain: the
+    // rest retires at the next sync point instead of spinning here.
+    while (!forwarding_.empty() && step_retire()) {
     }
+    // Emptied bins and chunks the retirements did not claim go back to
+    // the buddy and unmap.
+    trim();
+    shrink_backing();
+    if (moved_bytes != 0) counts_.add(kDefragMovedBytes, moved_bytes);
+    moved = counts_.value(kDefragMoves) - moves_before;
   }
-  // Release the parked destination blocks: the evacuated chunks they kept
-  // alive empty out and retire in the trim below.
-  for (const auto& [bin, idx] : pinned) ualloc_->free_decoded(bin, idx);
-  // Epilogue: emptied bins and chunks retire to the buddy and coalesce,
-  // and the freed chunks unmap back to the OS.
-  trim();
-  shrink_backing();
-  if (moved != 0) counts_.add(kDefragMoves, moved);
+  // A kSync pool's hot paths run pin-free between sync points.
+  set_incremental_defrag(false);
   return moved;
-}
-
-std::size_t GpuAllocator::migrate_bin(
-    BinHeader* bin, std::size_t budget, const std::set<std::uintptr_t>& evac,
-    std::vector<std::pair<BinHeader*, std::uint32_t>>& pinned,
-    std::set<const void*>& pinned_addrs) {
-  const std::size_t cls_bytes = size_of_class(bin->size_class);
-  const std::size_t chunk_bytes = vmm_->chunk_bytes();
-  std::size_t moved = 0;
-  // No occupancy re-check here: a bin in an evacuating chunk can only
-  // have *gained* occupancy from this pass's own pins (destinations never
-  // land inside `evac`), and pinned slots are skipped individually below
-  // — the remaining live blocks must still move or the chunk never
-  // empties.
-  util::AtomicBitmapRef bitmap = bin->bitmap();
-  // Destination blocks that decode into an evacuating chunk stay claimed
-  // (parked in `pinned`) until the pass finishes, so the allocator cannot
-  // hand the migration an evacuating chunk as a target — a drained bin
-  // relists at the *front* of its class list, so without the parking the
-  // pass would ping-pong blocks between sparse bins instead of
-  // compacting. A pinned slot reads as live in the bitmap, so the scan
-  // must skip pinned slots: a pin can land ahead of the cursor in this
-  // very bin (or in a later bin of the same chunk) and would otherwise
-  // be migrated AND released at pass end, a double free.
-  for (std::uint32_t idx = 0; idx < bin->capacity && moved < budget; ++idx) {
-    if (!bitmap.test(idx)) continue;
-    void* old_block = ualloc_->block_address(bin, idx);
-    if (pinned_addrs.count(old_block) != 0) continue;
-    const MoveResult r = move_block(bin, idx, cls_bytes, evac, pinned,
-                                    pinned_addrs, /*hold_source=*/false);
-    if (r == MoveResult::kNoDest) break;  // no compaction target left
-    if (r == MoveResult::kMoved) ++moved;
-  }
-  (void)chunk_bytes;
-  return moved;
-}
-
-GpuAllocator::MoveResult GpuAllocator::move_block(
-    BinHeader* bin, std::uint32_t idx, std::size_t cls_bytes,
-    const std::set<std::uintptr_t>& evac,
-    std::vector<std::pair<BinHeader*, std::uint32_t>>& pinned,
-    std::set<const void*>& pinned_addrs, bool hold_source) {
-  const std::size_t chunk_bytes = vmm_->chunk_bytes();
-  void* old_block = ualloc_->block_address(bin, idx);
-  // In the incremental path the held vectors are shared with tenant-side
-  // evac_park and need park_mu_; the sync pass runs quiescent and must
-  // not pay (or re-enter) the lock. Never held across the hooks — a host
-  // holding its own lock in prepare may be mallocing on another thread
-  // that is parking under park_mu_ at that very moment.
-  const auto park = [&](BinHeader* b, std::uint32_t i, const void* addr) {
-    if (hold_source) {
-      sync::LockGuard<sync::SpinMutex> g(park_mu_);
-      pinned.emplace_back(b, i);
-      pinned_addrs.insert(addr);
-    } else {
-      pinned.emplace_back(b, i);
-      pinned_addrs.insert(addr);
-    }
-  };
-  // The sync pass takes destinations from UAlloc itself, never through
-  // the lane: a slab refill would claim a batch of slots that no host
-  // owns, its bitmap scan would "migrate" those lane-parked slots (the
-  // shim's prepare admits every move) and free their sources while the
-  // lane still holds them — a double free once the lane hands them out.
-  // The incremental path's two-phase prepare vetoes such blocks.
-  void* dest;
-  // Bounded: every rejected probe parks one free slot of an evacuating
-  // chunk, so the allocator strictly runs down their free space and
-  // eventually hands out a block outside `evac` (or nullptr).
-  for (;;) {
-    dest = hold_source ? ualloc_alloc(cls_bytes)
-                       : ualloc_->allocate(cls_bytes);
-    if (dest == nullptr) break;
-    const std::uintptr_t dbase = static_cast<std::uintptr_t>(
-        util::align_down(reinterpret_cast<std::uintptr_t>(dest),
-                         chunk_bytes));
-    if (evac.count(dbase) == 0) break;
-    std::uint32_t didx;
-    BinHeader* dbin = ualloc_->decode_block(dest, &didx);
-    park(dbin, didx, dest);
-  }
-  if (dest == nullptr) return MoveResult::kNoDest;
-  // Prospective user pointers for the two-phase contract: under HeapSan
-  // the user pointer sits one redzone into the slot, and the payload
-  // size comes from the shadow record.
-  void* old_user = old_block;
-  void* new_user = dest;
-  std::size_t user_bytes = cls_bytes;
-  const bool san_tracked = [&] {
-    if (!san_->engaged()) return false;
-    void* cand = static_cast<char*>(old_block) +
-                 san_->config().redzone_bytes;
-    std::size_t sz;
-    if (!san_->lookup(cand, &sz)) return false;
-    old_user = cand;
-    new_user = static_cast<char*>(dest) + san_->config().redzone_bytes;
-    user_bytes = sz;
-    return true;
-  }();
-  if (hooks_.prepare && !hooks_.prepare(old_user, new_user, user_bytes)) {
-    // Vetoed: the host does not own this pointer live (a cache-parked
-    // block, or one mid-operation). It stays put; the destination slot
-    // goes back where it was taken from.
-    std::uint32_t didx;
-    BinHeader* dbin = ualloc_->decode_block(dest, &didx);
-    if (hold_source) {
-      ualloc_free(dest, dbin, didx);
-    } else {
-      ualloc_->free_decoded(dbin, didx);
-    }
-    TOMA_CTR_INC("vmm.defrag.vetoed");
-    return MoveResult::kVetoed;
-  }
-  // The whole slot moves, redzones included, so a sanitized payload's
-  // guard bytes stay verifiable at the new address.
-  std::memcpy(dest, old_block, cls_bytes);
-  if (san_tracked) {
-    san_->relocate(old_block, dest, &old_user, &new_user);
-  }
-  // The recorder rekeys its pointer interning without emitting an
-  // event — block ids name logical allocations, so record->replay
-  // stays bit-identical whether or not defrag ran.
-  obs::Recorder::instance().on_move(old_user, new_user);
-  if (hold_source) {
-    // Incremental: the forward entry must exist before commit returns —
-    // from that moment the host may free/realloc at either name — and
-    // the source slot stays claimed until the chunk's pin epoch drains,
-    // so the forwarded old address can never be reallocated while its
-    // entry is live.
-    vmm_->forward().insert(old_user, new_user);
-  }
-  if (hooks_.commit) hooks_.commit(old_user, new_user, user_bytes);
-  if (hold_source) {
-    park(bin, idx, old_block);
-  } else {
-    ualloc_->free_decoded(bin, idx);
-  }
-  return MoveResult::kMoved;
 }
 
 std::size_t GpuAllocator::defrag_step(std::size_t budget_bytes) {
@@ -734,7 +543,7 @@ std::size_t GpuAllocator::defrag_step(std::size_t budget_bytes) {
   step_retire();
   std::size_t moved_bytes = 0;
   if (hooks_.prepare) {
-    if (active_ == nullptr) select_victim();
+    if (active_ == nullptr) select_victim(nullptr);
     if (active_ != nullptr) moved_bytes = step_evacuate(budget_bytes);
   }
   defrag_mu_.unlock();
@@ -742,7 +551,7 @@ std::size_t GpuAllocator::defrag_step(std::size_t budget_bytes) {
   return moved_bytes;
 }
 
-bool GpuAllocator::select_victim() {
+bool GpuAllocator::select_victim(std::vector<bool>* evacuated) {
   if (select_backoff_ > 0) {
     --select_backoff_;
     return false;
@@ -757,16 +566,16 @@ bool GpuAllocator::select_victim() {
     select_backoff_ = kVmmDefragSelectBackoff;
     return false;
   }
-  // Same census the sync pass runs, grouped by backing chunk — but here
-  // it is only paid once per victim selection, not per step.
+  // Live bytes per backing chunk, paid once per victim selection, not
+  // per step.
   std::map<std::uint32_t, std::size_t> live_by_chunk;
   for (const UAlloc::BinOccupancy& bo : ualloc_->snapshot_bins()) {
     live_by_chunk[vmm_->chunk_index(bo.bin)] +=
         bo.live * size_of_class(bo.size_class);
   }
-  // Keep-fullest rule (as in the sync pass): if no populated chunk meets
-  // the occupancy threshold, the fullest one is the landing zone and
-  // must not be a victim.
+  // Keep-fullest rule: if no populated chunk meets the occupancy
+  // threshold, the fullest one is the landing zone and must not be a
+  // victim.
   bool have_keeper = false;
   std::uint32_t fullest = UINT32_MAX;
   std::size_t fullest_live = 0;
@@ -785,6 +594,7 @@ bool GpuAllocator::select_victim() {
       continue;
     }
     if (!have_keeper && ci == fullest) continue;
+    if (evacuated != nullptr && (*evacuated)[ci]) continue;
     if (vmm_->chunk_state(ci) != vmm::ChunkState::kLive) continue;
     if (lb < best_live) {
       best = ci;
@@ -797,6 +607,7 @@ bool GpuAllocator::select_victim() {
     select_backoff_ = kVmmDefragSelectBackoff;
     return false;
   }
+  if (evacuated != nullptr) (*evacuated)[best] = true;
   auto ev = std::make_unique<EvacState>();
   ev->chunk = best;
   {
@@ -817,7 +628,6 @@ std::size_t GpuAllocator::step_evacuate(std::size_t budget_bytes) {
   EvacState& ev = *active_;
   char* lo = static_cast<char*>(vmm_->chunk_addr(ev.chunk));
   char* hi = lo + vmm_->chunk_bytes();
-  const std::set<std::uintptr_t> evac{reinterpret_cast<std::uintptr_t>(lo)};
   std::size_t moved_bytes = 0;
   std::size_t remaining = 0;  // live blocks left behind this sweep
   std::size_t vetoed = 0;
@@ -850,10 +660,10 @@ std::size_t GpuAllocator::step_evacuate(std::size_t budget_bytes) {
         ++remaining;
         continue;
       }
-      const MoveResult r = move_block(bin, idx, cls_bytes, evac, ev.held,
-                                      ev.held_addrs, /*hold_source=*/true);
+      const MoveResult r = move_block(ev, bin, idx, cls_bytes);
       if (r == MoveResult::kMoved) {
         moved_bytes += cls_bytes;
+        counts_.inc(kDefragMoves);
       } else if (r == MoveResult::kVetoed) {
         ++vetoed;
       } else {
@@ -889,6 +699,80 @@ std::size_t GpuAllocator::step_evacuate(std::size_t budget_bytes) {
   return moved_bytes;
 }
 
+GpuAllocator::MoveResult GpuAllocator::move_block(EvacState& ev,
+                                                  BinHeader* bin,
+                                                  std::uint32_t idx,
+                                                  std::size_t cls_bytes) {
+  void* old_block = ualloc_->block_address(bin, idx);
+  // The held set is shared with tenant-side evac_park. park_mu_ is never
+  // held across the hooks: a host holding its own lock in prepare may be
+  // mallocing on another thread that is parking at that very moment.
+  const auto hold = [&](BinHeader* b, std::uint32_t i, const void* addr) {
+    sync::LockGuard<sync::SpinMutex> g(park_mu_);
+    ev.held.emplace_back(b, i);
+    ev.held_addrs.insert(addr);
+  };
+  // A destination inside the victim is held, not used, so compaction
+  // cannot ping-pong. Bounded: every rejected probe holds one free slot
+  // of the victim, so the allocator strictly runs down its free space
+  // and eventually hands out a block elsewhere (or nullptr).
+  void* dest;
+  for (;;) {
+    dest = ualloc_alloc(cls_bytes);
+    if (dest == nullptr || vmm_->chunk_index(dest) != ev.chunk) break;
+    std::uint32_t didx;
+    BinHeader* dbin = ualloc_->decode_block(dest, &didx);
+    hold(dbin, didx, dest);
+  }
+  if (dest == nullptr) return MoveResult::kNoDest;
+  // Prospective user pointers for the two-phase contract: under HeapSan
+  // the user pointer sits one redzone into the slot, and the payload
+  // size comes from the shadow record.
+  void* old_user = old_block;
+  void* new_user = dest;
+  std::size_t user_bytes = cls_bytes;
+  const bool san_tracked = [&] {
+    if (!san_->engaged()) return false;
+    void* cand = static_cast<char*>(old_block) +
+                 san_->config().redzone_bytes;
+    std::size_t sz;
+    if (!san_->lookup(cand, &sz)) return false;
+    old_user = cand;
+    new_user = static_cast<char*>(dest) + san_->config().redzone_bytes;
+    user_bytes = sz;
+    return true;
+  }();
+  if (!hooks_.prepare(old_user, new_user, user_bytes)) {
+    // Vetoed: the host does not own this pointer live (a cache-parked
+    // block, or one mid-operation). It stays put; the destination slot
+    // goes back where it was taken from.
+    std::uint32_t didx;
+    BinHeader* dbin = ualloc_->decode_block(dest, &didx);
+    ualloc_free(dest, dbin, didx);
+    TOMA_CTR_INC("vmm.defrag.vetoed");
+    return MoveResult::kVetoed;
+  }
+  // The whole slot moves, redzones included, so a sanitized payload's
+  // guard bytes stay verifiable at the new address.
+  std::memcpy(dest, old_block, cls_bytes);
+  if (san_tracked) {
+    san_->relocate(old_block, dest, &old_user, &new_user);
+  }
+  // The recorder rekeys its pointer interning without emitting an
+  // event — block ids name logical allocations, so record->replay
+  // stays bit-identical whether or not defrag ran.
+  obs::Recorder::instance().on_move(old_user, new_user);
+  // The forward entry must exist before commit returns — from that
+  // moment the host may free/realloc at either name — and the source
+  // slot stays claimed until the chunk's pin epoch drains, so the
+  // forwarded old address can never be reallocated while its entry is
+  // live.
+  vmm_->forward().insert(old_user, new_user);
+  if (hooks_.commit) hooks_.commit(old_user, new_user, user_bytes);
+  hold(bin, idx, old_block);
+  return MoveResult::kMoved;
+}
+
 void GpuAllocator::begin_forwarding() {
   {
     // Stop tenant-path parking first; the held set is frozen from here.
@@ -904,8 +788,8 @@ void GpuAllocator::begin_forwarding() {
   TOMA_CTR_INC("vmm.defrag.forwarding");
 }
 
-void GpuAllocator::step_retire() {
-  if (forwarding_.empty()) return;
+bool GpuAllocator::step_retire() {
+  if (forwarding_.empty()) return false;
   EvacState& head = *forwarding_.front();
   if (head.token == 0) {
     // Serialized retirement: only the queue head ever holds a token,
@@ -916,7 +800,7 @@ void GpuAllocator::step_retire() {
   }
   if (!pins_.quiesced(head.token)) {
     counts_.inc(kDefragPinStalls);
-    return;
+    return false;
   }
   char* chunk_base = static_cast<char*>(vmm_->chunk_addr(head.chunk));
   const std::size_t chunk_bytes = vmm_->chunk_bytes();
@@ -985,6 +869,7 @@ void GpuAllocator::step_retire() {
     release_cached();
   }
   if (done) forwarding_.erase(forwarding_.begin());
+  return true;
 }
 
 GpuAllocatorStats GpuAllocator::stats() const {

@@ -45,25 +45,28 @@ enum class AllocStatus : std::uint8_t {
 /// `release_threshold` value meaning "never auto-trim on stream sync".
 inline constexpr std::size_t kReleaseRetainAll = SIZE_MAX;
 
-/// How (and whether) a pool compacts its elastic backing.
+/// When a pool runs its compactor (one engine, the per-chunk evacuation
+/// of docs/INTERNALS.md §8; the modes differ only in when it runs).
 ///   kOff          no compaction (shrink alone reclaims whole-free chunks)
-///   kSync         PR 9's quiescent-point pass at Pool::sync
-///   kIncremental  concurrent per-chunk evacuation driven by
-///                 defrag_step() — piggybacked on async traffic and
-///                 scheduler idle slots, zero stop-the-world phases
+///   kSync         at Pool::sync: defrag() runs the engine until no
+///                 victim is left
+///   kIncremental  bounded defrag_step() slices piggybacked on async
+///                 traffic and scheduler idle slots
+/// Both moving modes need relocation hooks with a prepare callback
+/// (RelocationHooks); without one nothing moves.
 enum class DefragMode : std::uint8_t { kOff = 0, kSync = 1, kIncremental = 2 };
 
-/// Two-phase relocation contract (replaces the single fire-and-forget
-/// RelocateFn). For every block compaction wants to move:
+/// Two-phase relocation contract. For every block compaction wants to
+/// move:
 ///
 ///   prepare(old, new, size) -> bool   asked *before* any bytes move. The
 ///       host locks its references to `old` and returns true to admit the
 ///       move, or false to veto it (unknown pointer, block mid-use, ...).
-///       A vetoed block stays at `old` untouched. Incremental compaction
-///       REQUIRES a prepare hook that returns false for pointers the host
-///       does not own live: blocks parked in pool-level caches (the
-///       fixed lanes, the HeapSan quarantine) census as live but must
-///       not be moved-and-committed blindly.
+///       A vetoed block stays at `old` untouched. Compaction REQUIRES a
+///       prepare hook that returns false for pointers the host does not
+///       own live: blocks parked in pool-level caches (the fixed lanes,
+///       the HeapSan quarantine) census as live but must not be
+///       moved-and-committed blindly.
 ///   commit(old, new, size)            the payload now lives at `new`;
 ///       the host rewrites its references and unlocks. From the moment
 ///       commit returns, the host uses `new` only — frees/reallocs
@@ -74,9 +77,8 @@ enum class DefragMode : std::uint8_t { kOff = 0, kSync = 1, kIncremental = 2 };
 ///       contract for future use and for symmetric host bookkeeping.)
 ///
 /// Hooks run under the allocator's defrag lock: they must be quick and
-/// must not call back into this pool. An unset prepare admits every move
-/// (the legacy single-callback behaviour, valid only for kSync's
-/// quiescent passes).
+/// must not call back into this pool. With prepare unset, compaction
+/// moves nothing.
 struct RelocationHooks {
   std::function<bool(void*, void*, std::size_t)> prepare;
   std::function<void(void*, void*, std::size_t)> commit;
@@ -138,21 +140,10 @@ struct HeapConfig {
   std::uint32_t initial_chunks = 1;
   /// Growth ceiling in chunks; 0 = the whole reservation.
   std::uint32_t max_chunks = 0;
-  /// Run the defragmentation pass at pool sync points (quiescent-point
-  /// bin migration; moved blocks change address, so only opt in when
-  /// every consumer tolerates relocation — see
-  /// GpuAllocator::set_relocation_callback). Legacy toggle: equivalent
-  /// to defrag_mode = kSync; superseded by defrag_mode below.
-  bool defrag = false;
-  /// Compaction driver (see DefragMode). kOff here defers to the legacy
-  /// `defrag` bool, so existing configs keep their behaviour.
+  /// When the compactor runs (see DefragMode). Moved blocks change
+  /// address, so only opt in when every consumer tolerates relocation
+  /// through RelocationHooks.
   DefragMode defrag_mode = DefragMode::kOff;
-
-  /// The mode the two knobs above resolve to.
-  DefragMode effective_defrag_mode() const {
-    if (defrag_mode != DefragMode::kOff) return defrag_mode;
-    return defrag ? DefragMode::kSync : DefragMode::kOff;
-  }
 
   /// Constructible without asserting? (The C facade validates before
   /// constructing; the constructor itself still asserts.)
@@ -189,10 +180,10 @@ struct GpuAllocatorStats {
   std::size_t quota_bytes = 0;         // 0 = unlimited
   std::size_t mapped_bytes = 0;        // resident footprint (= pool size
                                        // when fixed)
-  std::uint64_t defrag_passes = 0;     // defrag() calls that scanned
-  std::uint64_t defrag_moves = 0;      // blocks migrated across all passes
+  std::uint64_t defrag_passes = 0;     // defrag() runs (sync points)
+  std::uint64_t defrag_moves = 0;      // blocks moved, either mode
   std::uint64_t defrag_steps = 0;      // defrag_step() calls that ran
-  std::uint64_t defrag_moved_bytes = 0;  // bytes evacuated incrementally
+  std::uint64_t defrag_moved_bytes = 0;  // bytes moved, either mode
   std::uint64_t defrag_forwarded = 0;  // frees/reallocs resolved via the
                                        // forward table
   std::uint64_t defrag_pin_stalls = 0;  // retirement waits on pin epochs
@@ -330,42 +321,32 @@ class GpuAllocator {
   /// blocks through the ordinary two-stage protocol).
   std::size_t shrink_backing();
 
-  /// Quiescent-point defragmentation: migrate every sparse UAlloc bin's
-  /// live blocks (occupancy < 1/2) into compact destinations, then trim
-  /// and shrink so the emptied chunks unmap. The caller must guarantee no
-  /// concurrent allocator activity (pool sync points qualify). HeapSan
-  /// shadow records and flight-recorder interning follow moved blocks;
-  /// hosts holding raw pointers must register a relocation callback.
-  /// Returns blocks moved. No-op unless vmm_enabled(). Refuses to run
-  /// (returns 0) while incremental evacuation state is outstanding — the
-  /// quiescent pass would double-free slots the incremental machinery
-  /// holds.
-  std::size_t defrag(std::size_t max_moves = SIZE_MAX);
+  /// Sync-point compaction (DefragMode::kSync): flush the parked blocks
+  /// (release_cached), then run the defrag_step engine until no victim
+  /// is left — each backing chunk evacuated at most once per call —
+  /// retire what has drained, and trim and shrink. Returns blocks moved.
+  /// No-op (0) unless vmm_enabled() and a prepare hook is registered.
+  /// Disarms the epoch pins on return when no evacuation state is
+  /// outstanding.
+  std::size_t defrag();
 
-  /// One bounded slice of *incremental* compaction, safe concurrently
-  /// with allocator traffic (docs/INTERNALS.md §8): advances the
-  /// per-chunk evacuation state machine — retire the forwarding-queue
-  /// head if its pin epoch drained, select a sparse victim chunk if none
-  /// is active, then evacuate at most `budget_bytes` (0 = the
-  /// kVmmDefragStepBytes default) of live blocks through the two-phase
-  /// hooks. Returns bytes moved this call. Returns 0 immediately when
-  /// another thread is mid-step (try-lock), when vmm is off, or when no
-  /// prepare hook is registered (incremental compaction requires one —
-  /// see RelocationHooks).
+  /// One bounded slice of compaction, safe concurrently with allocator
+  /// traffic (docs/INTERNALS.md §8): advances the per-chunk evacuation
+  /// state machine — retire the forwarding-queue head if its pin epoch
+  /// drained, select a sparse victim chunk if none is active, then
+  /// evacuate at most `budget_bytes` (0 = the kVmmDefragStepBytes
+  /// default) of live blocks through the two-phase hooks. Returns bytes
+  /// moved this call. Returns 0 immediately when another thread is
+  /// mid-step (try-lock), when vmm is off, or when no prepare hook is
+  /// registered and nothing is outstanding (see RelocationHooks).
   std::size_t defrag_step(std::size_t budget_bytes = 0);
 
   /// Register the two-phase relocation hooks (replaces any previous
-  /// hooks or legacy callback).
+  /// hooks).
   void set_relocation_hooks(RelocationHooks hooks);
 
-  /// Legacy single-callback registration, adapted onto the two-phase
-  /// interface (prepare admits every move, commit = cb, no abort).
-  /// Deprecated — see docs/API.md; valid only for kSync passes.
-  using RelocateFn = std::function<void(void*, void*, std::size_t)>;
-  void set_relocation_callback(RelocateFn cb);
-
-  /// Arm/disarm the epoch-pin facility for incremental compaction.
-  /// Arming is implicit in defrag_step(); disarming only takes effect
+  /// Arm/disarm the epoch-pin facility for compaction. Arming is
+  /// implicit in defrag_step() and defrag(); disarming only takes effect
   /// once no evacuation state is outstanding.
   void set_incremental_defrag(bool on);
 
@@ -434,20 +415,7 @@ class GpuAllocator {
   /// quota? (The grower's refusal, and kQuota rather than kOom.)
   bool quota_caps_mapping() const;
 
-  /// Migrate one sparse bin's live blocks; returns blocks moved (0 when
-  /// the bin was skipped). Part of defrag(). `evac` holds the UAlloc
-  /// chunk bases being evacuated this pass: destination blocks that
-  /// decode into one are parked in `pinned`/`pinned_addrs` (instead of
-  /// receiving migrated data) so the allocator cannot hand an
-  /// evacuating chunk back as a target; all three live for the whole
-  /// pass (defrag() releases the pins at the end).
-  std::size_t migrate_bin(BinHeader* bin, std::size_t budget,
-                          const std::set<std::uintptr_t>& evac,
-                          std::vector<std::pair<BinHeader*, std::uint32_t>>&
-                              pinned,
-                          std::set<const void*>& pinned_addrs);
-
-  // --- incremental compaction (docs/INTERNALS.md §8) -----------------------
+  // --- compaction engine (docs/INTERNALS.md §8) ---------------------------
 
   /// One chunk's evacuation in flight: parked destination slots, held
   /// (already-moved) source slots, and — once forwarding — the retire
@@ -481,23 +449,21 @@ class GpuAllocator {
   /// the victim's free space instead of racing tenant traffic for it.
   bool evac_park(void* p);
 
-  void step_retire();            // forwarding-queue head retirement
-  bool select_victim();          // census + CAS kLive -> kEvacuating
+  /// Retire the forwarding-queue head once its pin epoch drained; false
+  /// when the queue is empty or the head is still pinned.
+  bool step_retire();
+  /// Census + CAS kLive -> kEvacuating. A non-null `evacuated` skips the
+  /// chunks it marks and marks the one selected (defrag()'s
+  /// once-per-run rule).
+  bool select_victim(std::vector<bool>* evacuated);
   std::size_t step_evacuate(std::size_t budget_bytes);  // one sweep slice
   void begin_forwarding();       // kEvacuating -> kForwarding transition
-  /// Move one block through the two-phase hooks; shared by the sync pass
-  /// and the incremental sweep. `hold_source` keeps the source slot
-  /// claimed (incremental) instead of freeing it, and installs a forward
-  /// entry. Returns false when prepare vetoed the move or no destination
-  /// exists.
+  /// Move one block of the victim `ev` through the two-phase hooks: the
+  /// source slot stays claimed in `ev`'s held set and a forward entry
+  /// names the new address.
   enum class MoveResult : std::uint8_t { kMoved, kVetoed, kNoDest };
-  MoveResult move_block(BinHeader* bin, std::uint32_t idx,
-                        std::size_t cls_bytes,
-                        const std::set<std::uintptr_t>& evac,
-                        std::vector<std::pair<BinHeader*, std::uint32_t>>&
-                            pinned,
-                        std::set<const void*>& pinned_addrs,
-                        bool hold_source);
+  MoveResult move_block(EvacState& ev, BinHeader* bin, std::uint32_t idx,
+                        std::size_t cls_bytes);
 
   std::size_t pool_bytes_;
   void* pool_;

@@ -87,7 +87,7 @@ Pool::Pool(std::string name, const HeapConfig& cfg)
       slo_ns_(cfg.slo_latency_ns),
       counts_({"pool.sync", "", "pool.threshold_trim",
                pool_series("pool.slo_violation", name_)}) {
-  set_defrag_mode(cfg.effective_defrag_mode());
+  set_defrag_mode(cfg.defrag_mode);
 #if TOMA_TELEMETRY
   h_malloc_ns_ =
       &obs::registry().histogram(pool_series("pool.malloc_ns", name_));
@@ -351,7 +351,7 @@ void Pool::maybe_release() {
   // The sync-point defrag runs before the threshold check: compaction is
   // what turns "stranded in sparse bins" into whole free chunks the trim
   // and shrink below can actually return. Under kIncremental a sync
-  // point pays one bounded slice instead of a whole pass.
+  // point pays one bounded slice instead of a run to convergence.
   const DefragMode mode = defrag_mode();
   if (mode == DefragMode::kSync) {
     alloc_.defrag();

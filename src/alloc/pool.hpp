@@ -138,22 +138,18 @@ class Pool {
   /// never resident.
   std::size_t stranded_bytes() const;
 
-  /// Defragmentation driver (default: cfg.effective_defrag_mode()).
-  /// kSync runs a whole quiescent pass at sync points; kIncremental runs
-  /// bounded defrag_step() slices piggybacked on the async surface (one
-  /// per kVmmDefragOpInterval ops), at sync points, and in gpusim
-  /// scheduler idle slots. Only meaningful on a vmm-backed pool.
-  /// kIncremental additionally requires two-phase relocation hooks with
-  /// a prepare callback (set_relocation_hooks) — steps are no-ops until
-  /// one is registered.
+  /// When the compactor runs (default: cfg.defrag_mode). kSync runs it
+  /// to convergence at sync points (GpuAllocator::defrag); kIncremental
+  /// runs bounded defrag_step() slices piggybacked on the async surface
+  /// (one per kVmmDefragOpInterval ops), at sync points, and in gpusim
+  /// scheduler idle slots. Only meaningful on a vmm-backed pool. Both
+  /// moving modes require two-phase relocation hooks with a prepare
+  /// callback (set_relocation_hooks); nothing moves until one is
+  /// registered.
   void set_defrag_mode(DefragMode m);
   DefragMode defrag_mode() const {
     return static_cast<DefragMode>(
         defrag_mode_.load(std::memory_order_relaxed));
-  }
-  /// Legacy boolean switch: on = kSync, off = kOff.
-  void set_defrag(bool on) {
-    set_defrag_mode(on ? DefragMode::kSync : DefragMode::kOff);
   }
   bool defrag_enabled() const { return defrag_mode() != DefragMode::kOff; }
 
@@ -166,11 +162,6 @@ class Pool {
   /// Two-phase relocation hooks for defrag (see RelocationHooks).
   void set_relocation_hooks(RelocationHooks hooks) {
     alloc_.set_relocation_hooks(std::move(hooks));
-  }
-  /// Deprecated single-callback registration (docs/API.md): commit-only,
-  /// usable with kSync but not kIncremental.
-  void set_relocation_callback(GpuAllocator::RelocateFn cb) {
-    alloc_.set_relocation_callback(std::move(cb));
   }
 
   PoolStats stats() const;

@@ -71,13 +71,9 @@ HeapConfig to_cpp(const toma_pool_config_t& c) {
   cfg.chunk_bytes = c.chunk_bytes;
   if (c.initial_chunks != 0) cfg.initial_chunks = c.initial_chunks;
   cfg.max_chunks = c.max_chunks;
-  cfg.defrag = c.defrag > 0;
-  // defrag_mode -1 is "legacy": HeapConfig::effective_defrag_mode falls
-  // back to the boolean above. Range validation happens in
-  // toma_pool_create before this conversion runs.
-  if (c.defrag_mode >= 0) {
-    cfg.defrag_mode = static_cast<DefragMode>(c.defrag_mode);
-  }
+  // Range validation happens in toma_pool_create before this conversion
+  // runs.
+  cfg.defrag_mode = static_cast<DefragMode>(c.defrag_mode);
   return cfg;
 }
 
@@ -121,8 +117,7 @@ toma_pool_config_t toma_pool_config_default(void) {
   c.chunk_bytes = 0;
   c.initial_chunks = 0;
   c.max_chunks = 0;
-  c.defrag = -1;
-  c.defrag_mode = -1;
+  c.defrag_mode = 0;
   return c;
 }
 
@@ -131,7 +126,7 @@ toma_status_t toma_pool_create(const char* name,
                                toma_pool_t* out) {
   if (out != nullptr) *out = nullptr;
   if (name == nullptr || name[0] == '\0') return TOMA_ERR_INVALID;
-  if (cfg != nullptr && (cfg->defrag_mode < -1 || cfg->defrag_mode > 2)) {
+  if (cfg != nullptr && (cfg->defrag_mode < 0 || cfg->defrag_mode > 2)) {
     return TOMA_ERR_INVALID;
   }
   const HeapConfig cpp_cfg =

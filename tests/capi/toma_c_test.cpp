@@ -34,6 +34,7 @@ TEST(TomaC, ConfigDefaultsAreLibraryDefaults) {
   EXPECT_EQ(cfg.release_threshold, TOMA_RELEASE_RETAIN_ALL);  // retain
   EXPECT_EQ(cfg.heapsan, -1);                                 // build default
   EXPECT_EQ(cfg.stream_async, -1);
+  EXPECT_EQ(cfg.defrag_mode, 0);                              // no compaction
 }
 
 TEST(TomaC, PoolLifecycle) {
@@ -57,6 +58,11 @@ TEST(TomaC, CreateRejectsBadArguments) {
   toma_pool_t pool = nullptr;
   EXPECT_EQ(toma_pool_create(nullptr, &cfg, &pool), TOMA_ERR_INVALID);
   EXPECT_EQ(toma_pool_create("", &cfg, &pool), TOMA_ERR_INVALID);
+  for (const int mode : {-1, 3}) {  // defrag_mode accepts 0..2 only
+    cfg.defrag_mode = mode;
+    EXPECT_EQ(toma_pool_create("capi-bad", &cfg, &pool), TOMA_ERR_INVALID);
+  }
+  cfg.defrag_mode = 0;
   cfg.pool_bytes = 12345;  // not a power of two
   EXPECT_EQ(toma_pool_create("capi-bad", &cfg, &pool), TOMA_ERR_INVALID);
   EXPECT_EQ(pool, nullptr);

@@ -1,6 +1,7 @@
 // Elastic virtual backing store: chunk-table mechanics, grow-on-
 // exhaustion, shrink-at-trim, the mapped-footprint quota gate, and the
-// quiescent-point defragmentation pass (docs/INTERNALS.md §8).
+// compactor in both its sync-point and incremental modes
+// (docs/INTERNALS.md §8).
 #include <algorithm>
 #include <atomic>
 #include <cstring>
@@ -389,9 +390,9 @@ TEST(Vmm, DefragCompactsSparseBinsAndShrinks) {
     ASSERT_NE(held[i], nullptr);
     std::memset(held[i], 0x40 + (i % 64), 256);
   }
-  // current address -> index into `held`; the relocation callback
-  // re-keys entries as blocks move, so multi-hop moves (a compaction
-  // destination migrated again by a later bin) resolve correctly.
+  // current address -> index into `held`; the relocation hooks re-key
+  // entries as blocks move, so multi-hop moves (a compaction destination
+  // migrated again by a later victim) resolve correctly.
   std::map<void*, int> cur;
   for (int i = 0; i < kBlocks; ++i) {
     if (i % 16 == 0) {
@@ -404,13 +405,16 @@ TEST(Vmm, DefragCompactsSparseBinsAndShrinks) {
   ga.shrink_backing();
   const std::size_t mapped_before = ga.mapped_bytes();
 
-  ga.set_relocation_callback([&cur](void* from, void* to, std::size_t) {
-    const auto it = cur.find(from);
-    ASSERT_NE(it, cur.end()) << "relocation of an unknown block";
-    const int idx = it->second;
-    cur.erase(it);
-    cur[to] = idx;
-  });
+  ga.set_relocation_hooks(alloc::RelocationHooks{
+      [&cur](void* from, void*, std::size_t) { return cur.count(from) != 0; },
+      [&cur](void* from, void* to, std::size_t) {
+        const auto it = cur.find(from);
+        ASSERT_NE(it, cur.end()) << "relocation of an unknown block";
+        const int idx = it->second;
+        cur.erase(it);
+        cur[to] = idx;
+      },
+      nullptr});
   const std::size_t n = ga.defrag();
   EXPECT_GT(n, 0u);
   EXPECT_EQ(ga.stats().defrag_moves, n);
@@ -468,9 +472,8 @@ TEST(ForwardTable, ResolvesConsumesAndPurges) {
 
 // Drive one full incremental evacuation cycle on a quiescent heap via
 // defrag_step alone: census -> evacuate (two-phase hooks) -> forwarding
-// -> pin-drained retirement -> unmap. The footprint must converge to
-// the same place the sync pass reaches, without a single stop-the-world
-// pass.
+// -> pin-drained retirement -> unmap. The footprint must shrink
+// without a single sync-point run.
 TEST(Vmm, IncrementalDefragCompactsAndRetires) {
   HeapConfig cfg = elastic_cfg();
   GpuAllocator ga(cfg);
@@ -526,7 +529,7 @@ TEST(Vmm, IncrementalDefragCompactsAndRetires) {
   const auto st = ga.stats();
   EXPECT_GT(st.defrag_steps, 0u);
   EXPECT_GT(st.defrag_moved_bytes, 0u);
-  EXPECT_EQ(st.defrag_passes, 0u);  // never a sync pass
+  EXPECT_EQ(st.defrag_passes, 0u);  // never a sync-point run
   EXPECT_LT(ga.mapped_bytes(), mapped_before);
   EXPECT_TRUE(ga.check_consistency());
 
@@ -752,16 +755,19 @@ TEST(Vmm, DefragFollowsHeapSanShadow) {
     }
   }
 
-  ga.set_relocation_callback([&cur](void* from, void* to, std::size_t bytes) {
-    // With HeapSan engaged the callback carries *user* pointers and the
-    // exact recorded request size, not the class capacity.
-    EXPECT_EQ(bytes, kSize);
-    const auto it = cur.find(from);
-    ASSERT_NE(it, cur.end()) << "relocation of an unknown block";
-    const int idx = it->second;
-    cur.erase(it);
-    cur[to] = idx;
-  });
+  ga.set_relocation_hooks(alloc::RelocationHooks{
+      [&cur](void* from, void*, std::size_t) { return cur.count(from) != 0; },
+      [&cur](void* from, void* to, std::size_t bytes) {
+        // With HeapSan engaged the hooks carry *user* pointers and the
+        // exact recorded request size, not the class capacity.
+        EXPECT_EQ(bytes, kSize);
+        const auto it = cur.find(from);
+        ASSERT_NE(it, cur.end()) << "relocation of an unknown block";
+        const int idx = it->second;
+        cur.erase(it);
+        cur[to] = idx;
+      },
+      nullptr});
   const std::size_t n = ga.defrag();
   EXPECT_GT(n, 0u);
 
@@ -799,11 +805,11 @@ TEST(Vmm, FixedPoolIsUnaffected) {
 }
 
 // A slab-refilled class (8..64 B) stocks the fixed lane a batch at a
-// time. The sync pass must not take its destinations through the lane: a
-// refill claims slots no host owns, the pass's bitmap scan would migrate
-// them as live (the single-callback shim admits every move) and free their
-// sources while the lane still holds them — a double free once the lane
-// hands them out again.
+// time, and the compactor takes its destinations through the lane: a
+// refill claims slots no host owns, which the victim sweep sees as live.
+// Prepare must veto them — a commit for a slot the host never admitted,
+// or a source freed while the lane still holds it, would hand one block
+// out twice.
 TEST(Vmm, DefragNeverMigratesLaneParkedSlabBlocks) {
   HeapConfig cfg = elastic_cfg();
   GpuAllocator ga(cfg);
@@ -829,19 +835,22 @@ TEST(Vmm, DefragNeverMigratesLaneParkedSlabBlocks) {
     }
   }
   int unknown = 0;
-  ga.set_relocation_callback([&](void* from, void* to, std::size_t) {
-    const auto it = cur.find(from);
-    if (it == cur.end()) {
-      ++unknown;  // a slot the host never owned
-      return;
-    }
-    const int idx = it->second;
-    cur.erase(it);
-    cur[to] = idx;
-  });
+  ga.set_relocation_hooks(alloc::RelocationHooks{
+      [&cur](void* from, void*, std::size_t) { return cur.count(from) != 0; },
+      [&](void* from, void* to, std::size_t) {
+        const auto it = cur.find(from);
+        if (it == cur.end()) {
+          ++unknown;  // a slot the host never owned
+          return;
+        }
+        const int idx = it->second;
+        cur.erase(it);
+        cur[to] = idx;
+      },
+      nullptr});
   const std::size_t mapped_before = ga.mapped_bytes();
   EXPECT_GT(ga.defrag(), 0u);
-  EXPECT_EQ(unknown, 0) << "the pass migrated blocks no host owns";
+  EXPECT_EQ(unknown, 0) << "the compactor moved blocks no host owns";
   EXPECT_LT(ga.mapped_bytes(), mapped_before);
   EXPECT_TRUE(ga.check_consistency());
 
@@ -871,22 +880,24 @@ TEST(Vmm, DefragNeverMigratesLaneParkedSlabBlocks) {
 
 TEST(Vmm, PoolSyncRunsDefragWhenEnabled) {
   HeapConfig cfg = elastic_cfg();
-  cfg.defrag = true;
+  cfg.defrag_mode = alloc::DefragMode::kSync;
   cfg.release_threshold = 0;
   alloc::Pool pool("vmm-defrag-sync", cfg);
   gpu::Stream s;
 
   // Survivors WILL move (that is the opt-in): track current addresses
-  // through the relocation callback, as a defrag-tolerating host must.
+  // through the relocation hooks, as a defrag-tolerating host must.
   std::map<void*, int> cur;
-  pool.allocator().set_relocation_callback(
+  pool.set_relocation_hooks(alloc::RelocationHooks{
+      [&cur](void* from, void*, std::size_t) { return cur.count(from) != 0; },
       [&cur](void* from, void* to, std::size_t) {
         const auto it = cur.find(from);
         ASSERT_NE(it, cur.end()) << "relocation of an unknown block";
         const int idx = it->second;
         cur.erase(it);
         cur[to] = idx;
-      });
+      },
+      nullptr});
 
   std::vector<void*> held;
   for (int i = 0; i < 2048; ++i) held.push_back(pool.malloc(256));
@@ -898,7 +909,7 @@ TEST(Vmm, PoolSyncRunsDefragWhenEnabled) {
     }
   }
   const std::size_t mapped_before = pool.stats().alloc.mapped_bytes;
-  pool.sync(s);  // quiescent point: defrag + threshold trim + shrink
+  pool.sync(s);  // sync point: defrag + threshold trim + shrink
   EXPECT_GE(pool.stats().alloc.defrag_passes, 1u);
   EXPECT_GT(pool.stats().alloc.defrag_moves, 0u);
   // Compaction turned sparse bins into whole unmapped chunks.
@@ -909,10 +920,154 @@ TEST(Vmm, PoolSyncRunsDefragWhenEnabled) {
   EXPECT_TRUE(pool.check_consistency());
 }
 
+// A sync-point run terminates even when a victim cannot be emptied, and
+// ends at the initial_chunks floor once it can. The host vetoes one
+// survivor (it is mid-use), so that chunk's evacuation stalls and
+// retirement gives it back to kLive: still the sparsest chunk, with
+// slack left for another selection. A victim whose retirement fails for
+// any other reason returns the same way. Each backing chunk is a victim
+// at most once per defrag() call, so the run never selects such a chunk
+// again and never moves a block twice through it. Once the host lets
+// go, the next run empties the chunk down to the floor, and a run at the
+// floor moves nothing.
+TEST(Vmm, SyncDefragTerminatesAtTheShrinkFloor) {
+  constexpr std::uint32_t kKeepers = 4;  // dense chunks
+  HeapConfig cfg = elastic_cfg();
+  // The floor: the keepers plus the chunk the survivors compact into.
+  cfg.initial_chunks = kKeepers + 1;
+  GpuAllocator ga(cfg);
+  const vmm::BackingStore& bs = ga.backing();
+
+  std::map<void*, int> cur;
+  void* pinned = nullptr;              // the survivor the host holds on to
+  std::vector<std::uint32_t> sources;  // source chunk of every admitted move
+  ga.set_relocation_hooks(alloc::RelocationHooks{
+      [&](void* from, void*, std::size_t) {
+        if (from == pinned || cur.count(from) == 0) return false;
+        sources.push_back(bs.chunk_index(from));
+        return true;
+      },
+      [&](void* from, void* to, std::size_t) {
+        const auto it = cur.find(from);
+        ASSERT_NE(it, cur.end());
+        const int idx = it->second;
+        cur.erase(it);
+        cur[to] = idx;
+      },
+      nullptr});
+
+  // 17 chunks of 256 B blocks, then by owning chunk: the first kKeepers
+  // keep 14 of every 25 blocks (dense: compaction destinations), the next
+  // keeps one block (the pinned one), the rest keep 1 in 16.
+  constexpr int kBlocks = 17000;
+  std::vector<void*> held(kBlocks);
+  std::map<std::uint32_t, std::vector<int>> by_chunk;
+  for (int i = 0; i < kBlocks; ++i) {
+    held[i] = ga.malloc(256);
+    ASSERT_NE(held[i], nullptr);
+    std::memset(held[i], 0x40 + (i % 64), 256);
+    by_chunk[bs.chunk_index(held[i])].push_back(i);
+  }
+  ASSERT_GT(by_chunk.size(), kKeepers + 12u);
+  std::uint32_t rank = 0;
+  for (const auto& [chunk, blocks] : by_chunk) {
+    for (std::size_t k = 0; k < blocks.size(); ++k) {
+      const int i = blocks[k];
+      const bool keep = rank < kKeepers ? k % 25 < 14
+                        : rank == kKeepers ? k == 0
+                                           : k % 16 == 0;
+      if (keep) {
+        cur[held[i]] = i;
+      } else {
+        ga.free(held[i]);
+      }
+    }
+    if (rank == kKeepers) pinned = held[blocks[0]];
+    ++rank;
+  }
+
+  const std::uint32_t mapped_before = bs.mapped_chunks();
+  const std::size_t n = ga.defrag();
+  EXPECT_GT(n, 0u);
+  EXPECT_EQ(n, sources.size());
+  // The pinned block kept its chunk mapped and live, above the floor.
+  EXPECT_LT(bs.mapped_chunks(), mapped_before);
+  EXPECT_GT(bs.mapped_chunks(), cfg.initial_chunks);
+  EXPECT_TRUE(bs.is_mapped(bs.chunk_index(pinned)));
+  EXPECT_EQ(bs.chunk_state(bs.chunk_index(pinned)), vmm::ChunkState::kLive);
+  // No chunk was evacuated twice: its admitted moves form one run.
+  std::vector<std::uint32_t> victims;
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    if (i == 0 || sources[i] != sources[i - 1]) victims.push_back(sources[i]);
+  }
+  std::vector<std::uint32_t> distinct = victims;
+  std::sort(distinct.begin(), distinct.end());
+  EXPECT_EQ(std::adjacent_find(distinct.begin(), distinct.end()),
+            distinct.end())
+      << "a chunk was evacuated twice in one run";
+  EXPECT_LE(victims.size(), mapped_before);
+
+  // The host lets go: the next run empties that chunk down to the floor.
+  pinned = nullptr;
+  EXPECT_GT(ga.defrag(), 0u);
+  EXPECT_EQ(bs.mapped_chunks(), cfg.initial_chunks);
+  // At the floor there is nothing left to select.
+  EXPECT_EQ(ga.defrag(), 0u);
+  EXPECT_EQ(ga.stats().defrag_passes, 3u);
+  EXPECT_TRUE(ga.check_consistency());
+  for (const auto& [p, orig] : cur) {
+    std::vector<unsigned char> want(
+        256, static_cast<unsigned char>(0x40 + orig % 64));
+    EXPECT_EQ(std::memcmp(p, want.data(), 256), 0) << "block " << orig;
+    ga.free(p);
+  }
+  EXPECT_EQ(ga.bytes_in_use(), 0u);
+  EXPECT_TRUE(ga.check_consistency());
+}
+
+// A kSync pool with no prepare hook has no host that could veto a block
+// or learn its new address, so the sync point moves nothing: every
+// survivor keeps its address and its contents.
+TEST(Vmm, SyncDefragWithoutPrepareHookMovesNothing) {
+  HeapConfig cfg = elastic_cfg();
+  cfg.defrag_mode = alloc::DefragMode::kSync;
+  cfg.release_threshold = 0;
+  alloc::Pool pool("vmm-defrag-sync-nohook", cfg);
+  gpu::Stream s;
+
+  std::vector<void*> held;
+  for (int i = 0; i < 2048; ++i) {
+    held.push_back(pool.malloc(256));
+    ASSERT_NE(held.back(), nullptr);
+    std::memset(held.back(), 0x40 + (i % 64), 256);
+  }
+  std::vector<std::pair<void*, int>> survivors;
+  for (int i = 0; i < 2048; ++i) {
+    if (i % 8 == 0) {
+      survivors.emplace_back(held[i], i);
+    } else {
+      pool.free(held[i]);
+    }
+  }
+  pool.sync(s);
+  EXPECT_EQ(pool.stats().alloc.defrag_moves, 0u);
+  EXPECT_EQ(pool.stats().alloc.defrag_moved_bytes, 0u);
+  for (const auto& [p, i] : survivors) {
+    std::vector<unsigned char> want(256,
+                                    static_cast<unsigned char>(0x40 + i % 64));
+    EXPECT_EQ(std::memcmp(p, want.data(), 256), 0) << "block " << i;
+    EXPECT_EQ(pool.usable_size(p), 256u);
+    pool.free(p);
+  }
+  pool.trim();
+  EXPECT_EQ(pool.bytes_in_use(), 0u);
+  EXPECT_TRUE(pool.check_consistency());
+}
+
 // kIncremental mode needs no explicit driver: steps piggyback on the
 // pool's own async traffic (every kVmmDefragOpInterval-th op) and on
-// gpusim scheduler idle slots (registered while the mode is on). The
-// sync pass must never run.
+// gpusim scheduler idle slots (registered while the mode is on). No
+// sync-point run (defrag()) ever happens.
 TEST(Vmm, PoolIncrementalDefragPiggybacksOnTraffic) {
   {
     HeapConfig cfg = elastic_cfg();
@@ -960,7 +1115,7 @@ TEST(Vmm, PoolIncrementalDefragPiggybacksOnTraffic) {
     const auto st = pool.stats();
     EXPECT_GT(st.alloc.defrag_steps, 0u) << "ticks never fired";
     EXPECT_GT(st.alloc.defrag_moved_bytes, 0u);
-    EXPECT_EQ(st.alloc.defrag_passes, 0u) << "no stop-the-world pass";
+    EXPECT_EQ(st.alloc.defrag_passes, 0u) << "no sync-point run";
     EXPECT_LT(pool.stats().alloc.mapped_bytes, mapped_before);
 
     for (const auto& kv : cur) pool.free(kv.first);
